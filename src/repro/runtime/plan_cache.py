@@ -98,10 +98,7 @@ class PlanCache:
         ``cache.get`` fault/trace checkpoint.
         """
         fault_point("cache", op="get")
-        return self._lookup_key((query_fingerprint(query), stats_version))
-
-    def _lookup_key(self, key) -> "OptimizationResult | None":
-        """Keyed lookup past the fault checkpoint (shard entry point)."""
+        key = (query_fingerprint(query), stats_version)
         with self._lock:
             found = self._entries.get(key)
             if found is None:
@@ -125,10 +122,7 @@ class PlanCache:
                 verification (if any) did not fail.
         """
         fault_point("cache", op="put")
-        self._store_key((query_fingerprint(query), stats_version), result)
-
-    def _store_key(self, key, result: "OptimizationResult") -> None:
-        """Keyed store past the fault checkpoint (shard entry point)."""
+        key = (query_fingerprint(query), stats_version)
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
@@ -162,100 +156,3 @@ class PlanCache:
                 "entries": len(self._entries),
                 "evictions": self.evictions,
             }
-
-
-class ShardedPlanCache:
-    """A :class:`PlanCache` hash-partitioned into independent shards.
-
-    One global cache lock serializes every planner in the pool on a
-    single hot mutex; sharding by fingerprint spreads that contention
-    ``shards``-ways while keeping the exact :class:`PlanCache` duck
-    type (``lookup`` / ``store`` / ``evict_plan`` / ``clear`` /
-    ``counters`` / ``len``), so the session, the service snapshot and
-    the metrics sync cannot tell the difference.  Shard choice hashes
-    only the *fingerprint* -- every stats version of one query lands in
-    one shard, so LRU pressure stays per-query-shape local.
-
-    The same class serves both sides of the process boundary: the
-    parent service's shared cache and each worker child's private one
-    (children receive warm-up broadcasts on spawn, see
-    :mod:`repro.runtime.procpool`).
-    """
-
-    def __init__(self, shards: int = 8, max_entries: int = 256) -> None:
-        """Create ``shards`` independent LRUs bounding ``max_entries`` total.
-
-        Args:
-            shards: Partition count (>= 1); each shard has its own lock.
-            max_entries: Total LRU bound, split evenly across shards
-                (each shard holds at least one entry).
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        per_shard = max(1, -(-max_entries // shards)) if max_entries else 0
-        self.max_entries = max_entries
-        self._shards = tuple(PlanCache(per_shard) for _ in range(shards))
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def _shard_of(self, fingerprint: str) -> PlanCache:
-        return self._shards[int(fingerprint[:8], 16) % len(self._shards)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
-
-    def lookup(
-        self, query: Expr, stats_version: int
-    ) -> "OptimizationResult | None":
-        """Exactly :meth:`PlanCache.lookup`, routed to one shard.
-
-        The fingerprint is computed once and reused for both routing
-        and the cache key; the ``cache.get`` fault/trace checkpoint
-        fires outside every shard lock, same as the flat cache.
-        """
-        fault_point("cache", op="get")
-        fingerprint = query_fingerprint(query)
-        return self._shard_of(fingerprint)._lookup_key(
-            (fingerprint, stats_version)
-        )
-
-    def store(
-        self, query: Expr, stats_version: int, result: "OptimizationResult"
-    ) -> None:
-        """Exactly :meth:`PlanCache.store`, routed to one shard."""
-        fault_point("cache", op="put")
-        fingerprint = query_fingerprint(query)
-        self._shard_of(fingerprint)._store_key(
-            (fingerprint, stats_version), result
-        )
-
-    def evict_plan(self, plan: Expr) -> int:
-        """Quarantine eviction must scan every shard (plan, not key)."""
-        return sum(shard.evict_plan(plan) for shard in self._shards)
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def counters(self) -> dict:
-        """Aggregated counters plus the shard count."""
-        out = {"hits": 0, "misses": 0, "entries": 0, "evictions": 0}
-        for shard in self._shards:
-            for key, value in shard.counters().items():
-                out[key] += value
-        out["shards"] = len(self._shards)
-        return out

@@ -31,13 +31,13 @@ blast radius of a dying worker is one query, not the service:
   workers ``poison_threshold`` times in a row is quarantined: further
   occurrences fail fast instead of grinding the pool down.
 
-Routing stays in the parent: the engine fallback walk, circuit
-breakers, admission control and budget carving are exactly the
-machinery of :class:`QueryService` -- each *engine attempt* is
-dispatched to a child, typed errors come back over the pipe (encoded
-structurally; exception classes with custom constructors do not
-survive pickling), and the child's incident-journal delta is merged
-into the parent log so one ring buffer tells the whole story.
+Routing stays in the parent, in :class:`QueryService`'s one worker
+loop and engine walk: a slot is that loop's *backend*, and all it adds
+is how one *engine attempt* is made -- delivered to a child, with typed
+errors coming back over the pipe (encoded structurally; exception
+classes with custom constructors do not survive pickling) and the
+child's incident-journal delta merged into the parent log so one ring
+buffer tells the whole story.
 
 Determinism: the per-query fault stream is still derived from
 ``(plan seed, admission index)`` -- the process-level kinds
@@ -74,7 +74,8 @@ from repro.errors import (
 )
 from repro.runtime.budget import Budget
 from repro.runtime.incidents import Incident, IncidentLog
-from repro.runtime.plan_cache import ShardedPlanCache, query_fingerprint
+from repro.runtime.plan_cache import PlanCache, query_fingerprint
+from repro.runtime.service import ThreadBackend
 from repro.runtime.tracing import span
 
 #: The fault site process-level clauses target (``worker:kill9`` etc.
@@ -108,8 +109,8 @@ class ProcPoolConfig:
     poison_threshold: int = 2
     spawn_timeout_s: float = 60.0
     start_method: str = "spawn"
-    # sharded-cache warm-up: how many recently successful queries a
-    # fresh worker pre-plans, and the planning budget for each (a
+    # cache warm-up: how many recently successful queries a fresh
+    # worker pre-plans, and the planning budget for each (a
     # restart must come back warm, not come back late)
     warmup_limit: int = 16
     warmup_deadline_ms: float = 250.0
@@ -136,11 +137,21 @@ _BUDGET_ERRORS = {
     cls.__name__: cls
     for cls in (BudgetExceeded, DeadlineExceeded, PlanBudgetExceeded, RowBudgetExceeded)
 }
+#: every ``kind`` :func:`decode_error` rebuilds as itself
+_REBUILT = {*_MESSAGE_ERRORS, *_BUDGET_ERRORS}
+_REBUILT |= {"QueryCancelled", "InjectedFault", "EngineFailure"}
 
 
 def encode_error(exc: BaseException) -> dict:
-    """Structural form of ``exc`` for the result pipe."""
-    out: dict = {"kind": type(exc).__name__, "message": str(exc)}
+    """Structural form of ``exc`` for the result pipe.
+
+    ``kind`` names the nearest ancestor :func:`decode_error` rebuilds,
+    so a ``SchemaError`` lands as the ``UserInputError`` it is, not as
+    an engine bug; classes outside the taxonomy keep their own name.
+    """
+    names = [cls.__name__ for cls in type(exc).__mro__]
+    kind = next((name for name in names if name in _REBUILT), names[0])
+    out: dict = {"kind": kind, "message": str(exc)}
     if isinstance(exc, BudgetExceeded):
         out["detail"] = {
             "limit": exc.limit,
@@ -232,9 +243,8 @@ def _worker_main(conn, init_blob: bytes) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates
     init = pickle.loads(init_blob)
-    from repro.runtime.session import QuerySession
-
-    db = init["db"]
+    session_kwargs = init["session"]
+    db = session_kwargs["db"]
     handles = init.get("page_handles") or {}
     if handles:
         # zero-copy path: the blob carried only unpageable tables; the
@@ -246,38 +256,21 @@ def _worker_main(conn, init_blob: bytes) -> None:
         for table, handle in handles.items():
             with span("page.attach", table=table, segment=handle.segment):
                 db.add(table, attach_page(handle).relation())
-    stats = init["stats"]
     feedback = None
-    if init["replan_threshold"] is not None:
+    if session_kwargs["replan_threshold"] is not None:
         from repro.runtime.feedback import FeedbackStore
 
         feedback = FeedbackStore()
-        stats.feedback = feedback
+        session_kwargs["stats"].feedback = feedback
     incidents = IncidentLog(capacity=init["incident_capacity"])
-    plan_cache = ShardedPlanCache()
-    quarantined: set = set()
-    sessions: dict[str, QuerySession] = {}
-
-    def session_for(engine: str) -> QuerySession:
-        if engine not in sessions:
-            sessions[engine] = QuerySession(
-                db,
-                catalog=init["catalog"],
-                stats=stats,
-                verify=init["verify"],
-                executor=engine,
-                max_plans=init["max_plans"],
-                verify_seed=init["verify_seed"],
-                plan_cache=plan_cache,
-                incidents=incidents,
-                quarantined=quarantined,
-                feedback=feedback,
-                replan_threshold=init["replan_threshold"],
-                max_replans=init["max_replans"],
-                enum_tier=init["enum_tier"],
-            )
-        return sessions[engine]
-
+    # the in-thread backend, at the far end of the pipe
+    session_for = ThreadBackend(
+        **session_kwargs,
+        plan_cache=PlanCache(),
+        incidents=incidents,
+        quarantined=set(),
+        feedback=feedback,
+    ).session
     fault_plan = init["fault_plan"]
     send_lock = threading.Lock()
     busy = threading.Event()
@@ -318,7 +311,7 @@ def _warm_cache(entries, session_for, engine: str, deadline_ms: float) -> None:
 
     Runs between the ready handshake and the first task, so a
     restarted worker answers its first repeated query from a warm
-    sharded cache instead of re-optimizing from scratch.  Each entry
+    cache instead of re-optimizing from scratch.  Each entry
     gets a small planning budget and failures are ignored -- warm-up
     is an optimization, never a correctness dependency.
     """
@@ -354,13 +347,9 @@ def _run_task(task, session_for, fault_plan, incidents, conn, send_lock, busy) -
                 if fired is not None:
                     _perform_process_fault(fired)
             busy.set()
-            session = session_for(task["engine"])
-            kwargs = (
-                {"required_order": task["required_order"]}
-                if task["required_order"]
-                else {}
+            result = session_for(task["engine"]).run(
+                task["query"], budget=budget, required_order=task["required_order"]
             )
-            result = session.run(task["query"], budget=budget, **kwargs)
         reply = (
             "result",
             {
@@ -390,12 +379,16 @@ def _run_task(task, session_for, fault_plan, incidents, conn, send_lock, busy) -
 class _Slot:
     """One worker position: current process, pipe, and flap history.
 
-    A slot is owned by exactly one dispatcher thread; only the
-    flap-state fields are read cross-thread (under the supervisor
-    lock) to answer the pool-degraded question.
+    A slot is owned by exactly one service worker thread, which drives
+    it through the backend contract of
+    :class:`repro.runtime.service.ThreadBackend` (:meth:`preflight`,
+    :meth:`attempt`, :meth:`stop`), so the per-ticket delivery state
+    needs no lock; only the flap-state fields are read cross-thread
+    (under the supervisor lock) to answer the pool-degraded question.
     """
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, supervisor: "WorkerSupervisor", index: int) -> None:
+        self.supervisor = supervisor
         self.index = index
         self.process = None
         self.conn = None
@@ -403,23 +396,140 @@ class _Slot:
         self.flapping_until = 0.0
         self.consecutive_failures = 0
         self.next_reason = "start"  # why the next (re)spawn happens
+        # the ticket in hand: these run across its engine attempts
+        self.fingerprint = ""
+        self.retries = 0
+        self.deliveries = 0  # salts the fault stream per delivery
+
+    def preflight(self, ticket) -> None:
+        """Start a ticket; a quarantined fingerprint fails fast."""
+        sup = self.supervisor
+        self.fingerprint = fingerprint = query_fingerprint(ticket.query)
+        self.retries = self.deliveries = 0
+        if fingerprint in sup._poisoned:
+            sup.service.incidents.record(
+                Incident(
+                    kind="poisoned-query-rejected",
+                    query=str(ticket.query),
+                    detail={"index": ticket.index, "fingerprint": fingerprint},
+                    action="failed-fast",
+                )
+            )
+            raise WorkerCrashed("poisoned", poisoned=True, fingerprint=fingerprint)
+
+    def attempt(self, ticket, engine: str, qbudget: Budget):
+        """One engine attempt, redelivered while workers die under it.
+
+        Returns the child's :class:`SessionResult` or raises what the
+        attempt raised there (rebuilt by :func:`decode_error`).  The
+        pool's own verdicts are typed too: :class:`WorkerCrashed` past
+        the retry cap or at quarantine, ``DeadlineExceeded`` /
+        ``QueryCancelled`` when the supervisor killed the worker on
+        purpose, :class:`WorkerPoolDegraded` while the slot is flapping.
+        """
+        sup, fingerprint = self.supervisor, self.fingerprint
+        svc = sup.service
+        while True:  # redelivery loop for worker deaths
+            try:
+                sup._ensure_worker(self, ticket.query)
+                status, payload = sup._exchange(
+                    self, ticket, qbudget, engine, self.deliveries
+                )
+            except ReproError:
+                raise
+            except Exception as exc:
+                # the pool failed before any engine ran (spawn refused,
+                # task unpicklable): typed as the pool's, so the service
+                # neither reroutes nor trips a breaker over it
+                raise WorkerPoolDegraded(
+                    f"worker {self.index} dispatch failed: {exc!r}"
+                ) from exc
+            self.deliveries += 1
+            if status != "died":
+                break
+            reason = payload
+            self.consecutive_failures += 1
+            deaths, quarantine = sup._record_death(fingerprint)
+            svc.incidents.record(
+                Incident(
+                    kind="worker-crashed",
+                    query=str(ticket.query),
+                    detail={
+                        "index": ticket.index,
+                        "worker": self.index,
+                        "engine": engine,
+                        "reason": reason,
+                        "retries": self.retries,
+                    },
+                    action="worker-restarting",
+                )
+            )
+            if quarantine:
+                svc.incidents.record(
+                    Incident(
+                        kind="poisoned-query-quarantined",
+                        query=str(ticket.query),
+                        detail={"fingerprint": fingerprint, "worker_deaths": deaths},
+                        action="quarantined",
+                    )
+                )
+            poisoned = deaths >= sup.config.poison_threshold
+            if poisoned or self.retries >= sup.config.max_retries:
+                raise WorkerCrashed(
+                    reason,
+                    retries=self.retries,
+                    poisoned=poisoned,
+                    fingerprint=fingerprint,
+                )
+            self.retries += 1
+            with sup._lock:
+                sup.retries += 1
+            svc.metrics.counter("repro_worker_retries_total").inc()
+            with span("worker.retry", worker=str(self.index), reason=reason):
+                pass
+        if status == "deadline":
+            # the worker blew through deadline + grace and was killed;
+            # surface the budget truth, not a crash.
+            raise DeadlineExceeded(
+                qbudget.deadline_ms or 0.0, qbudget.elapsed_ms, "worker-deadline"
+            )
+        if status == "cancelled":
+            raise QueryCancelled("worker-killed")
+        # a completed exchange (ok or typed error): the query no longer
+        # kills workers, so its death streak resets
+        with sup._lock:
+            sup._kills.pop(fingerprint, None)
+        self.consecutive_failures = 0
+        spend = payload.get("spend", {})
+        qbudget.tick(
+            rows=spend.get("rows", 0),
+            plans=spend.get("plans", 0),
+            where="worker-spend",
+        )
+        if status == "error":
+            raise decode_error(payload)
+        sup._note_warm(fingerprint, ticket.query, ticket.required_order)
+        return payload["session"]
+
+    def stop(self) -> None:
+        self.supervisor._shutdown_slot(self)
 
 
 class WorkerSupervisor:
-    """Owns the worker processes and routes tickets onto them.
+    """Owns the worker processes: spawn, watch, reap, restart.
 
-    Created by :class:`QueryService` when ``isolation="process"``; its
-    dispatcher threads take over the service's admission queue, so
-    admission control, budgets, breakers, counters and the incident
-    log are all the service's own -- this class adds only the process
-    boundary and its failure handling.
+    Created by :class:`QueryService` when ``isolation="process"``.
+    The service's worker loop, admission control, budgets, breakers
+    and engine walk are unchanged; each of its worker threads drives
+    one :class:`_Slot` as its backend, so this class adds only the
+    process boundary and its failure handling.
     """
 
     def __init__(self, service, workers: int, config: ProcPoolConfig) -> None:
         self.service = service
         self.config = config
         self._ctx = multiprocessing.get_context(config.start_method)
-        self._slots = [_Slot(i) for i in range(workers)]
+        self._slots = [_Slot(self, i) for i in range(workers)]
         self._lock = threading.Lock()
         self._rng = random.Random()
         self._kills: dict[str, int] = {}  # fingerprint -> consecutive worker deaths
@@ -464,26 +574,11 @@ class WorkerSupervisor:
 
     # -- wiring -----------------------------------------------------------
 
-    def start(self) -> list[threading.Thread]:
-        """Spawn the dispatcher threads (the service joins these)."""
-        threads = [
-            threading.Thread(
-                target=self._dispatch,
-                args=(slot,),
-                name=f"repro-procpool-{slot.index}",
-                daemon=True,
-            )
-            for slot in self._slots
-        ]
-        for thread in threads:
-            thread.start()
-        return threads
-
     def _build_init_blob(self) -> bytes:
         svc = self.service
         registry = self.page_registry
+        session_kwargs = svc._session_kwargs()
         if registry is None:
-            db = svc.db
             page_handles = None
         else:
             # only unpageable tables ride the pickle; the rest cross
@@ -493,6 +588,7 @@ class WorkerSupervisor:
             db = Database()
             for table in registry.fallback:
                 db.add(table, svc.db[table])
+            session_kwargs["db"] = db
             page_handles = dict(registry.handles)
         # the feedback store holds locks and cannot cross the pipe;
         # children build their own when re-planning is armed.
@@ -501,18 +597,10 @@ class WorkerSupervisor:
         try:
             return pickle.dumps(
                 {
-                    "db": db,
+                    "session": session_kwargs,
                     "page_handles": page_handles,
                     "engine": svc.engine,
                     "warmup_deadline_ms": self.config.warmup_deadline_ms,
-                    "catalog": svc.catalog,
-                    "stats": svc.stats,
-                    "verify": svc.verify,
-                    "verify_seed": svc.verify_seed,
-                    "max_plans": svc.max_plans,
-                    "replan_threshold": svc.replan_threshold,
-                    "max_replans": svc.max_replans,
-                    "enum_tier": svc.enum_tier,
                     "fault_plan": svc.fault_plan,
                     "incident_capacity": svc.incidents.capacity,
                     "heartbeat_interval_s": self.config.heartbeat_interval_s,
@@ -554,306 +642,32 @@ class WorkerSupervisor:
                 "warm_queries": len(self._warm),
             }
 
-    # -- dispatcher loop ---------------------------------------------------
+    def _record_death(self, fingerprint: str) -> tuple[int, bool]:
+        """Count one more consecutive worker death for ``fingerprint``.
 
-    def _dispatch(self, slot: _Slot) -> None:
-        from repro.runtime.service import _STOP
-
-        queue = self.service._queue
-        while True:
-            item = queue.get()
-            try:
-                if item is _STOP:
-                    self._shutdown_slot(slot)
-                    return
-                self._process_ticket(slot, item)
-            except BaseException as exc:  # the pool must never lose a dispatcher
-                if not item.done():  # pragma: no cover - defensive
-                    item._reject(
-                        exc
-                        if isinstance(exc, ReproError)
-                        else EngineFailure(
-                            [("supervisor", f"{type(exc).__name__}: {exc}")]
-                        )
-                    )
-            finally:
-                queue.task_done()
-
-    def _process_ticket(self, slot: _Slot, ticket) -> None:
-        svc = self.service
-        t0 = time.monotonic()
-        queue_ms = (t0 - ticket.submitted_at) * 1000.0
-        if ticket.cancel_token.cancelled:
-            with svc._lock:
-                svc.cancelled += 1
-            svc.incidents.record(
-                Incident(
-                    kind="query-cancelled",
-                    query=str(ticket.query),
-                    detail={"index": ticket.index, "queue_ms": round(queue_ms, 3)},
-                    action="dropped-before-start",
-                )
+        Returns ``(deaths, quarantine)``.  The bump and the threshold
+        test are one step under the lock -- every slot's worker thread
+        reports here, and a dropped death would delay quarantine past
+        ``poison_threshold`` -- and ``quarantine`` is true for exactly
+        one caller: the one whose report carried the streak to the
+        threshold.
+        """
+        with self._lock:
+            deaths = self._kills[fingerprint] = self._kills.get(fingerprint, 0) + 1
+            quarantine = (
+                deaths >= self.config.poison_threshold
+                and fingerprint not in self._poisoned
             )
-            ticket._reject(QueryCancelled("before start"))
-            return
-        fingerprint = query_fingerprint(ticket.query)
-        if fingerprint in self._poisoned:
-            svc.incidents.record(
-                Incident(
-                    kind="poisoned-query-rejected",
-                    query=str(ticket.query),
-                    detail={"index": ticket.index, "fingerprint": fingerprint},
-                    action="failed-fast",
-                )
-            )
-            svc._settle_failure(
-                ticket,
-                WorkerCrashed("poisoned", poisoned=True, fingerprint=fingerprint),
-            )
-            return
-        qbudget = None
-        try:
-            qbudget = svc._carve_budget(ticket)
-            self._route(slot, ticket, qbudget, fingerprint, t0, queue_ms)
-        except BaseException as exc:
-            svc._settle_failure(ticket, exc)
-        finally:
-            if qbudget is not None:
-                svc._charge_service(qbudget)
+            if quarantine:
+                self._poisoned.add(fingerprint)
+        return deaths, quarantine
 
-    # -- routing (mirrors QueryService._route across the pipe) ------------
-
-    def _route(
-        self, slot: _Slot, ticket, qbudget: Budget, fingerprint: str, t0, queue_ms
-    ) -> None:
-        svc = self.service
-        attempts: list[tuple[str, str]] = []
-        last_error: BaseException | None = None
-        retries = 0
-        dispatches = 0  # salts the fault stream per delivery
-        for engine in svc._engine_order():
-            breaker = svc.breakers[engine]
-            if engine == "reference":
-                allowed, transition = True, None  # the floor is never gated
-            else:
-                allowed, transition = breaker.allow()
-            svc._note_transition(engine, transition, ticket.query)
-            if not allowed:
-                attempts.append((engine, "breaker-open"))
-                continue
-            while True:  # redelivery loop for worker deaths
-                self._ensure_worker(slot, ticket.query)
-                status, payload = self._exchange(
-                    slot, ticket, qbudget, engine, dispatches
-                )
-                dispatches += 1
-                if status != "died":
-                    break
-                reason = payload
-                slot.consecutive_failures += 1
-                self._kills[fingerprint] = self._kills.get(fingerprint, 0) + 1
-                svc.incidents.record(
-                    Incident(
-                        kind="worker-crashed",
-                        query=str(ticket.query),
-                        detail={
-                            "index": ticket.index,
-                            "worker": slot.index,
-                            "engine": engine,
-                            "reason": reason,
-                            "retries": retries,
-                        },
-                        action="worker-restarting",
-                    )
-                )
-                if self._kills[fingerprint] >= self.config.poison_threshold:
-                    self._poisoned.add(fingerprint)
-                    svc.incidents.record(
-                        Incident(
-                            kind="poisoned-query-quarantined",
-                            query=str(ticket.query),
-                            detail={
-                                "fingerprint": fingerprint,
-                                "worker_deaths": self._kills[fingerprint],
-                            },
-                            action="quarantined",
-                        )
-                    )
-                    svc._settle_failure(
-                        ticket,
-                        WorkerCrashed(
-                            reason,
-                            retries=retries,
-                            poisoned=True,
-                            fingerprint=fingerprint,
-                        ),
-                    )
-                    return
-                if retries >= self.config.max_retries:
-                    svc._settle_failure(
-                        ticket,
-                        WorkerCrashed(reason, retries=retries, fingerprint=fingerprint),
-                    )
-                    return
-                retries += 1
-                with self._lock:
-                    self.retries += 1
-                svc.metrics.counter("repro_worker_retries_total").inc()
-                with span(
-                    "worker.retry", worker=str(slot.index), reason=reason
-                ):
-                    pass
-            if status == "deadline":
-                # the worker blew through deadline + grace and was
-                # killed; surface the budget truth, not a crash.
-                limit = qbudget.deadline_ms or 0.0
-                exc = DeadlineExceeded(limit, qbudget.elapsed_ms, "worker-deadline")
-                svc.incidents.record(
-                    Incident(
-                        kind="budget-exhausted",
-                        query=str(ticket.query),
-                        detail={"engine": engine, **exc.to_dict()},
-                        action="worker-killed",
-                    )
-                )
-                svc._settle_failure(ticket, exc)
-                return
-            if status == "cancelled":
-                with svc._lock:
-                    svc.cancelled += 1
-                svc.incidents.record(
-                    Incident(
-                        kind="query-cancelled",
-                        query=str(ticket.query),
-                        detail={"index": ticket.index, "engine": engine},
-                        action="worker-killed",
-                    )
-                )
-                ticket._reject(QueryCancelled("worker-killed"))
-                return
-            # a completed exchange (ok or typed error): the query no
-            # longer kills workers, so its death streak resets
-            self._kills.pop(fingerprint, None)
-            slot.consecutive_failures = 0
-            spend = payload.get("spend", {})
-            try:
-                qbudget.tick(
-                    rows=spend.get("rows", 0),
-                    plans=spend.get("plans", 0),
-                    where="worker-spend",
-                )
-            except BudgetExceeded as exc:
-                svc.incidents.record(
-                    Incident(
-                        kind="budget-exhausted",
-                        query=str(ticket.query),
-                        detail={"engine": engine, **exc.to_dict()},
-                        action="typed-error",
-                    )
-                )
-                svc._settle_failure(ticket, exc)
-                return
-            if status == "error":
-                exc = decode_error(payload)
-                if isinstance(exc, QueryCancelled):
-                    with svc._lock:
-                        svc.cancelled += 1
-                    svc.incidents.record(
-                        Incident(
-                            kind="query-cancelled",
-                            query=str(ticket.query),
-                            detail={"index": ticket.index, "engine": engine},
-                            action="unwound-at-checkpoint",
-                        )
-                    )
-                    ticket._reject(exc)
-                    return
-                if isinstance(exc, BudgetExceeded):
-                    svc.incidents.record(
-                        Incident(
-                            kind="budget-exhausted",
-                            query=str(ticket.query),
-                            detail={"engine": engine, **exc.to_dict()},
-                            action="typed-error",
-                        )
-                    )
-                    svc._settle_failure(ticket, exc)
-                    return
-                if isinstance(exc, UserInputError):
-                    svc._settle_failure(ticket, exc)
-                    return
-                # engine crash (injected or genuine): try the next engine
-                message = f"{type(exc).__name__}: {exc}"
-                attempts.append((engine, message))
-                last_error = exc
-                svc.metrics.counter("repro_engine_failures_total").labels(
-                    engine=engine
-                ).inc()
-                svc.incidents.record(
-                    Incident(
-                        kind="engine-failure",
-                        query=str(ticket.query),
-                        detail={
-                            "engine": engine,
-                            "error": type(exc).__name__,
-                            "message": str(exc),
-                            "index": ticket.index,
-                        },
-                        action="rerouted",
-                    )
-                )
-                if engine != "reference":
-                    svc._trip(engine, ticket.query)
-                continue
-            # status == "ok"
-            result = payload["session"]
-            if result.verified is False:
-                if engine != "reference":
-                    svc._trip(engine, ticket.query)
-            elif engine != "reference":
-                svc._note_transition(
-                    engine, breaker.record_success(), ticket.query
-                )
-            with svc._lock:
-                svc.completed += 1
-            self._note_warm(fingerprint, ticket.query, ticket.required_order)
-            service_ms = (time.monotonic() - t0) * 1000.0
-            svc.metrics.counter("repro_queries_total").labels(outcome="ok").inc()
-            svc.metrics.histogram("repro_query_latency_ms").observe(service_ms)
-            from repro.runtime.service import ServiceResult
-
-            ticket._resolve(
-                ServiceResult(
-                    session=result,
-                    engine=engine,
-                    attempts=tuple(attempts),
-                    index=ticket.index,
-                    service_ms=service_ms,
-                    queue_ms=queue_ms,
-                )
-            )
-            return
-        error: BaseException
-        if isinstance(last_error, ReproError):
-            error = last_error
-        else:
-            error = EngineFailure(attempts)
-        svc.incidents.record(
-            Incident(
-                kind="query-failed",
-                query=str(ticket.query),
-                detail={"attempts": [list(a) for a in attempts]},
-                action="typed-error",
-            )
-        )
-        svc._settle_failure(ticket, error)
-
-    # -- one engine attempt over the pipe ----------------------------------
+    # -- one delivery over the pipe -----------------------------------------
 
     def _exchange(
         self, slot: _Slot, ticket, qbudget: Budget, engine: str, attempt: int
     ):
-        """Send one engine attempt to the slot's worker, watch it run.
+        """Deliver one engine attempt to the slot's worker, watch it run.
 
         Returns ``(status, payload)``:
 

@@ -3,7 +3,10 @@
 :class:`repro.runtime.QuerySession` made one caller resilient; this
 module makes the *process* resilient when many callers share it.  A
 :class:`QueryService` is a bounded thread pool over per-worker
-sessions, with four containment mechanisms layered on top:
+backends -- in-thread sessions (:class:`ThreadBackend`) or supervised
+child processes (:mod:`repro.runtime.procpool`), which differ only in
+how one engine attempt is made -- with four containment mechanisms
+layered on top:
 
 **Admission control.**  Submissions enter a bounded queue.  When the
 queue is full (or the service is closed, or the service-level budget
@@ -57,6 +60,7 @@ from repro.errors import (
     QueryCancelled,
     ReproError,
     UserInputError,
+    WorkerCrashed,
 )
 from repro.expr.evaluate import Database
 from repro.expr.nodes import Expr
@@ -72,7 +76,7 @@ from repro.runtime.metrics import (
     sync_engine_metrics,
     sync_feedback_metrics,
 )
-from repro.runtime.plan_cache import PlanCache, ShardedPlanCache
+from repro.runtime.plan_cache import PlanCache
 from repro.runtime.session import QuerySession, SessionResult
 
 #: Engine fallback order: fastest first, ground truth last.
@@ -303,6 +307,54 @@ class QueryTicket:
 _STOP = object()
 
 
+def _unwind_action(exc, cooperative: str) -> str:
+    """Incident action for a cancel/budget unwind: the process backend
+    tags the ones it enforced by SIGKILL in ``exc.where``."""
+    killed = exc.where in ("worker-killed", "worker-deadline")
+    return "worker-killed" if killed else cooperative
+
+
+class ThreadBackend:
+    """Engine attempts made on the calling thread, over lazy sessions.
+
+    A backend is everything that differs between isolation modes, and
+    it is one call: :meth:`attempt` takes one engine attempt in and
+    returns its :class:`SessionResult` or raises the typed error.
+    ``preflight`` may fail a ticket before any budget is carved, and
+    ``stop`` runs as the worker loop exits.  The process pool's
+    per-slot backend (:mod:`repro.runtime.procpool`) has the same
+    three methods; :class:`QueryService` owns everything else.
+
+    :meth:`session` is the only place worker sessions are built: over
+    the service's shared cache and journal in a service thread, over
+    private ones in a process-pool child.
+    """
+
+    def __init__(self, session_factory=None, **session_kwargs) -> None:
+        self._build = session_factory or (
+            lambda engine: QuerySession(executor=engine, **session_kwargs)
+        )
+        self._sessions: dict[str, QuerySession] = {}
+
+    def session(self, engine: str) -> QuerySession:
+        if engine not in self._sessions:
+            self._sessions[engine] = self._build(engine)
+        return self._sessions[engine]
+
+    def preflight(self, ticket: QueryTicket) -> None:
+        pass
+
+    def attempt(
+        self, ticket: QueryTicket, engine: str, budget: Budget
+    ) -> SessionResult:
+        return self.session(engine).run(
+            ticket.query, budget=budget, required_order=ticket.required_order
+        )
+
+    def stop(self) -> None:
+        pass
+
+
 # -- the service ---------------------------------------------------------
 
 
@@ -315,9 +367,9 @@ class QueryService:
         As for :class:`QuerySession`; statistics are scanned once and
         shared by every worker.
     workers:
-        Worker threads (each owns one lazily-built session per engine;
-        sessions share the plan cache, incident log, quarantine set
-        and statistics).
+        Worker threads (each owns one backend; a thread backend's
+        lazily-built sessions, one per engine, share the plan cache,
+        incident log, quarantine set and statistics).
     queue_depth:
         Admission queue bound; a full queue sheds load with
         :class:`repro.errors.AdmissionRejected`.
@@ -445,10 +497,7 @@ class QueryService:
         self.queue_depth = queue_depth
         self._budget_template = budget
         self._service_budget = service_budget
-        self._session_factory = session_factory
-        self.plan_cache = (
-            plan_cache if plan_cache is not None else ShardedPlanCache()
-        )
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         if feedback is None and replan_threshold is not None:
             feedback = FeedbackStore()
         self.feedback = feedback
@@ -464,7 +513,6 @@ class QueryService:
             name: CircuitBreaker(name, breaker, clock) for name in FALLBACK_CHAIN
         }
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._local = threading.local()
         self._lock = threading.Lock()
         self._closed = False
         self._close_done = threading.Event()
@@ -494,16 +542,31 @@ class QueryService:
 
                 config = replace(config, max_retries=max_retries)
             self._supervisor = WorkerSupervisor(self, workers, config)
-            self._threads = self._supervisor.start()
+            backends = self._supervisor._slots  # a slot is a backend
         else:
-            self._threads = [
-                threading.Thread(
-                    target=self._worker, name=f"repro-service-{i}", daemon=True
+            backends = [
+                ThreadBackend(
+                    session_factory,
+                    **self._session_kwargs(),
+                    plan_cache=self.plan_cache,
+                    incidents=self.incidents,
+                    quarantined=self.quarantined,
+                    feedback=self.feedback,
+                    metrics=self.metrics,
                 )
-                for i in range(workers)
+                for _ in range(workers)
             ]
-            for thread in self._threads:
-                thread.start()
+        self._threads = [
+            threading.Thread(
+                target=self._worker,
+                args=(backend,),
+                name=f"repro-service-{i}",
+                daemon=True,
+            )
+            for i, backend in enumerate(backends)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- admission -------------------------------------------------------
 
@@ -619,17 +682,9 @@ class QueryService:
                 except queue.Empty:
                     break
                 if item is not _STOP:
-                    with self._lock:
-                        self.cancelled += 1
-                    self.incidents.record(
-                        Incident(
-                            kind="query-cancelled",
-                            query=str(item.query),
-                            detail={"index": item.index},
-                            action="rejected-at-shutdown",
-                        )
+                    self._settle_cancelled(
+                        item, QueryCancelled("service shutdown"), "rejected-at-shutdown"
                     )
-                    item._reject(QueryCancelled("service shutdown"))
                 self._queue.task_done()
         for _ in self._threads:
             self._queue.put(_STOP)
@@ -692,13 +747,14 @@ class QueryService:
 
     # -- worker machinery ------------------------------------------------
 
-    def _worker(self) -> None:
+    def _worker(self, backend) -> None:
         while True:
             item = self._queue.get()
             try:
                 if item is _STOP:
+                    backend.stop()
                     return
-                self._process(item)
+                self._process(item, backend)
             except BaseException as exc:  # the pool must never lose a worker
                 if not item.done():  # pragma: no cover - defensive
                     item._reject(
@@ -709,32 +765,21 @@ class QueryService:
             finally:
                 self._queue.task_done()
 
-    def _session_for(self, engine: str) -> QuerySession:
-        sessions = getattr(self._local, "sessions", None)
-        if sessions is None:
-            sessions = self._local.sessions = {}
-        if engine not in sessions:
-            if self._session_factory is not None:
-                sessions[engine] = self._session_factory(engine)
-            else:
-                sessions[engine] = QuerySession(
-                    self.db,
-                    catalog=self.catalog,
-                    stats=self.stats,
-                    verify=self.verify,
-                    executor=engine,
-                    max_plans=self.max_plans,
-                    verify_seed=self.verify_seed,
-                    plan_cache=self.plan_cache,
-                    incidents=self.incidents,
-                    quarantined=self.quarantined,
-                    feedback=self.feedback,
-                    replan_threshold=self.replan_threshold,
-                    max_replans=self.max_replans,
-                    metrics=self.metrics,
-                    enum_tier=self.enum_tier,
-                )
-        return sessions[engine]
+    def _session_kwargs(self) -> dict:
+        """The picklable :class:`QuerySession` arguments every worker
+        shares -- thread workers add the service's shared cache and
+        journal, process-pool children their private ones."""
+        return {
+            "db": self.db,
+            "catalog": self.catalog,
+            "stats": self.stats,
+            "verify": self.verify,
+            "max_plans": self.max_plans,
+            "verify_seed": self.verify_seed,
+            "replan_threshold": self.replan_threshold,
+            "max_replans": self.max_replans,
+            "enum_tier": self.enum_tier,
+        }
 
     def _engine_order(self) -> tuple[str, ...]:
         start = FALLBACK_CHAIN.index(self.engine)
@@ -807,41 +852,37 @@ class QueryService:
     def _trip(self, engine: str, query) -> None:
         self._note_transition(engine, self.breakers[engine].record_failure(), query)
 
-    def _process(self, ticket: QueryTicket) -> None:
+    def _process(self, ticket: QueryTicket, backend) -> None:
         t0 = time.monotonic()
-        queue_ms = (t0 - ticket.submitted_at) * 1000.0
         if ticket.cancel_token.cancelled:
-            with self._lock:
-                self.cancelled += 1
-            self.incidents.record(
-                Incident(
-                    kind="query-cancelled",
-                    query=str(ticket.query),
-                    detail={"index": ticket.index, "queue_ms": round(queue_ms, 3)},
-                    action="dropped-before-start",
-                )
+            self._settle_cancelled(
+                ticket,
+                QueryCancelled("before start"),
+                "dropped-before-start",
+                queue_ms=round((t0 - ticket.submitted_at) * 1000.0, 3),
             )
-            ticket._reject(QueryCancelled("before start"))
             return
+        # only in-thread attempts reach a fault point under this scope;
+        # a process-pool child salts its own stream per delivery
         stream = (
             self.fault_plan.stream(ticket.index) if self.fault_plan else None
         )
         qbudget: Budget | None = None
         try:
             with fault_scope(stream):
+                backend.preflight(ticket)
                 qbudget = self._carve_budget(ticket)
-                self._route(ticket, qbudget, t0, queue_ms)
+                self._route(ticket, backend, qbudget, t0)
         except BaseException as exc:
-            # typed carve failures (service deadline spent) and anything
-            # the routing loop re-raised
+            # typed pre-flight and carve failures (poisoned query,
+            # service deadline spent) and anything the routing loop
+            # re-raised
             self._settle_failure(ticket, exc)
         finally:
             if qbudget is not None:
                 self._charge_service(qbudget)
 
-    def _route(
-        self, ticket: QueryTicket, qbudget: Budget, t0: float, queue_ms: float
-    ) -> None:
+    def _route(self, ticket: QueryTicket, backend, qbudget: Budget, t0: float) -> None:
         attempts: list[tuple[str, str]] = []
         last_error: BaseException | None = None
         for engine in self._engine_order():
@@ -854,28 +895,11 @@ class QueryService:
             if not allowed:
                 attempts.append((engine, "breaker-open"))
                 continue
-            session = self._session_for(engine)
             try:
-                # the kwarg is omitted when empty so injected session
-                # doubles with the older run() signature keep working
-                kwargs = (
-                    {"required_order": ticket.required_order}
-                    if ticket.required_order
-                    else {}
-                )
-                result = session.run(ticket.query, budget=qbudget, **kwargs)
+                result = backend.attempt(ticket, engine, qbudget)
             except QueryCancelled as exc:
-                with self._lock:
-                    self.cancelled += 1
-                self.incidents.record(
-                    Incident(
-                        kind="query-cancelled",
-                        query=str(ticket.query),
-                        detail={"index": ticket.index, "engine": engine},
-                        action="unwound-at-checkpoint",
-                    )
-                )
-                ticket._reject(exc)
+                action = _unwind_action(exc, "unwound-at-checkpoint")
+                self._settle_cancelled(ticket, exc, action, engine=engine)
                 return
             except BudgetExceeded as exc:
                 # ran out of resources, not an engine defect: retrying on
@@ -885,13 +909,14 @@ class QueryService:
                         kind="budget-exhausted",
                         query=str(ticket.query),
                         detail={"engine": engine, **exc.to_dict()},
-                        action="typed-error",
+                        action=_unwind_action(exc, "typed-error"),
                     )
                 )
                 self._settle_failure(ticket, exc)
                 return
-            except UserInputError:
-                # the query's fault; no engine is to blame
+            except (UserInputError, WorkerCrashed, AdmissionRejected):
+                # the query's fault or the worker pool's; no engine is
+                # to blame
                 raise
             except Exception as exc:  # crash (injected or genuine)
                 message = f"{type(exc).__name__}: {exc}"
@@ -939,7 +964,7 @@ class QueryService:
                     attempts=tuple(attempts),
                     index=ticket.index,
                     service_ms=service_ms,
-                    queue_ms=queue_ms,
+                    queue_ms=(t0 - ticket.submitted_at) * 1000.0,
                 )
             )
             return
@@ -958,6 +983,21 @@ class QueryService:
             )
         )
         self._settle_failure(ticket, error)
+
+    def _settle_cancelled(
+        self, ticket: QueryTicket, exc: QueryCancelled, action: str, **detail
+    ) -> None:
+        with self._lock:
+            self.cancelled += 1
+        self.incidents.record(
+            Incident(
+                kind="query-cancelled",
+                query=str(ticket.query),
+                detail={"index": ticket.index, **detail},
+                action=action,
+            )
+        )
+        ticket._reject(exc)
 
     def _settle_failure(self, ticket: QueryTicket, exc: BaseException) -> None:
         with self._lock:

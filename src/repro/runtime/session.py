@@ -75,19 +75,12 @@ from repro.runtime.tracing import set_tag, span
 
 
 class DegradationLevel(IntEnum):
-    """Which rung of the ladder produced the answer.
-
-    ``HEURISTIC`` is a backward-compatible alias of ``GREEDY`` (the
-    pre-tier name of the rung): identity comparisons written against
-    the old three-rung ladder keep working, while ``.name`` reports
-    the current ``GREEDY``.
-    """
+    """Which rung of the ladder produced the answer."""
 
     FULL = 0
     PARTITIONED_DP = 1
     GOO = 2
     GREEDY = 3
-    HEURISTIC = 3  # legacy alias
     AS_WRITTEN = 4
 
 

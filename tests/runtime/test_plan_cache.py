@@ -90,6 +90,34 @@ class TestPlanCacheUnit:
         assert cache.evict_plan(QUERY) == 1
         assert len(cache) == 0
 
+    def _queries(self, n):
+        from repro.expr.nodes import Select
+
+        return [Select(QUERY, cmp_const("eid", "=", i)) for i in range(n)]
+
+    def test_evict_plan_drops_every_fingerprint(self):
+        cache = PlanCache()
+        # the same chosen plan cached under many fingerprints
+        for q in self._queries(10):
+            cache.store(q, 0, self._result(QUERY))
+        assert cache.evict_plan(QUERY) == 10
+        assert len(cache) == 0
+        assert cache.evictions == 10
+
+    def test_clear_drops_entries_and_keeps_counters(self):
+        cache = PlanCache()
+        for q in self._queries(5):
+            assert cache.lookup(q, 0) is None
+            cache.store(q, 0, self._result(q))
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.counters() == {
+            "hits": 0,
+            "misses": 5,
+            "entries": 0,
+            "evictions": 0,
+        }
+
 
 class TestSessionIntegration:
     def test_second_run_hits_the_cache_at_full_level(self):
@@ -281,107 +309,3 @@ class TestConcurrentAccess:
         assert len(cache) <= 8
         counters = cache.counters()
         assert counters["hits"] + counters["misses"] == 8 * 50
-
-
-class TestShardedPlanCache:
-    """The sharded cache must be behavior-identical to the flat one --
-    the session, snapshot and metrics sync all duck-type against
-    :class:`PlanCache`."""
-
-    def _result(self, plan):
-        return OptimizationResult(
-            best=plan,
-            best_cost=1.0,
-            original_cost=2.0,
-            plans_considered=3,
-            ranked=[(1.0, plan)],
-        )
-
-    def _queries(self, n):
-        from repro.expr.nodes import Select
-
-        return [
-            Select(QUERY, cmp_const("eid", "=", i)) for i in range(n)
-        ]
-
-    def test_lookup_and_store_route_consistently(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache(shards=4)
-        for q in self._queries(20):
-            assert cache.lookup(q, 0) is None
-            cache.store(q, 0, self._result(q))
-            assert cache.lookup(q, 0).best == q
-        assert len(cache) == 20
-        assert cache.hits == 20 and cache.misses == 20
-
-    def test_counters_aggregate_and_expose_shards(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache(shards=3, max_entries=30)
-        for q in self._queries(6):
-            cache.lookup(q, 0)
-            cache.store(q, 0, self._result(q))
-        counters = cache.counters()
-        assert counters["shards"] == 3
-        assert counters["misses"] == 6
-        assert counters["entries"] == 6
-        assert counters["hits"] == 0
-
-    def test_spread_uses_multiple_shards(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache(shards=8, max_entries=800)
-        for q in self._queries(64):
-            cache.store(q, 0, self._result(q))
-        occupied = sum(1 for s in cache._shards if len(s))
-        assert occupied >= 2  # 64 fingerprints cannot all collide
-
-    def test_evict_plan_scans_every_shard(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache(shards=4)
-        queries = self._queries(10)
-        # the same chosen plan cached under many fingerprints
-        for q in queries:
-            cache.store(q, 0, self._result(QUERY))
-        assert cache.evict_plan(QUERY) == 10
-        assert len(cache) == 0
-        assert cache.evictions == 10
-
-    def test_clear_and_len(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache()
-        for q in self._queries(5):
-            cache.store(q, 0, self._result(q))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.counters()["entries"] == 0
-
-    def test_stats_version_still_invalidates(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        cache = ShardedPlanCache()
-        cache.store(QUERY, 0, self._result(QUERY))
-        assert cache.lookup(QUERY, 1) is None
-        assert cache.lookup(QUERY, 0) is not None
-
-    def test_rejects_zero_shards(self):
-        import pytest
-
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        with pytest.raises(ValueError):
-            ShardedPlanCache(shards=0)
-
-    def test_session_accepts_sharded_cache(self):
-        from repro.runtime.plan_cache import ShardedPlanCache
-
-        db = emp_db()
-        cache = ShardedPlanCache()
-        session = QuerySession(db, plan_cache=cache)
-        first = session.run(QUERY)
-        second = session.run(QUERY)
-        assert second.relation.same_content(first.relation)
-        assert cache.hits >= 1

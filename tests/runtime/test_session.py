@@ -91,7 +91,7 @@ class TestFallbackChain:
         db = chain_database(4)
         session = QuerySession(db, budget=Budget(max_plans=1))
         result = session.run(query)
-        assert result.degradation_level is DegradationLevel.HEURISTIC
+        assert result.degradation_level is DegradationLevel.GREEDY
         assert "PlanBudgetExceeded" in str(
             session.incidents.records[0].detail["error"]
         )
@@ -115,7 +115,7 @@ class TestFallbackChain:
     def test_heuristic_handles_outer_joins(self, emp_db):
         session = QuerySession(emp_db, budget=Budget(max_plans=1))
         result = session.run(EMP_DEPT_LOJ)
-        assert result.degradation_level is DegradationLevel.HEURISTIC
+        assert result.degradation_level is DegradationLevel.GREEDY
         assert result.relation.same_content(evaluate(EMP_DEPT_LOJ, emp_db))
         assert_equivalent(EMP_DEPT_LOJ, result.chosen, trials=40)
 
@@ -203,7 +203,7 @@ class TestVerificationSafetyNet:
         result = session.run(EMP_DEPT_LOJ)
         # the poisoned planner only offers the quarantined plan, so the
         # ladder moves to the heuristic -- which verifies clean
-        assert result.degradation_level is DegradationLevel.HEURISTIC
+        assert result.degradation_level is DegradationLevel.GREEDY
         assert result.verified is True
         assert result.relation.same_content(evaluate(EMP_DEPT_LOJ, emp_db))
 
@@ -236,7 +236,7 @@ class TestPlanFacade:
         session = QuerySession(emp_db, budget=Budget(max_plans=1))
         optimized, level, reason = session.plan(EMP_DEPT_LOJ)
         assert optimized is not None
-        assert level is DegradationLevel.HEURISTIC
+        assert level is DegradationLevel.GREEDY
         assert "plans budget" in reason
 
 
@@ -308,9 +308,10 @@ class TestEnumerationTiers:
         with pytest.raises(ValueError, match="enum_tier"):
             QuerySession(emp_db, enum_tier="exhaustive")
 
-    def test_heuristic_alias_still_names_the_greedy_rung(self):
-        assert DegradationLevel.HEURISTIC is DegradationLevel.GREEDY
-        assert DegradationLevel.HEURISTIC.name == "GREEDY"
+    def test_greedy_rung_keeps_its_place_on_the_ladder(self):
+        assert DegradationLevel(3) is DegradationLevel.GREEDY
+        assert DegradationLevel(3).name == "GREEDY"
+        assert not hasattr(DegradationLevel, "HEURISTIC")  # alias retired
         assert int(DegradationLevel.AS_WRITTEN) == 4
 
     def test_forced_goo_tier_answers_at_the_goo_rung(self):
