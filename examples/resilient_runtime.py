@@ -38,7 +38,7 @@ def main() -> None:
     db = chain_database(4)
     expected = evaluate(query, db)
 
-    # --- unconstrained: the full rewrite-closure optimizer ------------
+    # --- unconstrained: the FULL rung (exact DP on this inner chain) --
     session = QuerySession(db, verify=True)
     result = session.run(query)
     print("no budget:")

@@ -40,7 +40,6 @@ from repro.errors import OptimizerInternalError
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.expr.nodes import (
-    BaseRel,
     Expr,
     GenSelect,
     Join,
@@ -67,14 +66,6 @@ class DeferResult:
     expr: GenSelect
     conjunct: Predicate
     groups: tuple[frozenset[str], ...]
-
-
-def _attrs_of_bases(root: Expr, bases: frozenset[str]) -> frozenset[str]:
-    out: set[str] = set()
-    for node in root.walk():
-        if isinstance(node, BaseRel) and node.name in bases:
-            out.update(node.all_attrs)
-    return frozenset(out)
 
 
 def defer_conjunct(root: Expr, path: Path, conjunct: Predicate) -> DeferResult:
@@ -127,8 +118,8 @@ def _walk_preserved(
         x_side = ancestor.children()[x_index]
         other = ancestor.children()[1 - x_index]
         other_bases = other.base_names
-        x_attrs = frozenset(x_side.all_attrs)
-        q_x = ancestor.predicate.attrs & x_attrs
+        x_owners = x_side.attr_owners
+        q_x = ancestor.predicate.attrs & x_owners.keys()
         x_preserved = (
             ancestor.kind.preserves_left
             if x_index == 0
@@ -143,8 +134,9 @@ def _walk_preserved(
         updated: list[frozenset[str]] = []
         extended = False
         for group in groups:
-            group_attrs = _attrs_of_bases(root, group)
-            if q_x <= group_attrs:
+            # by ownership: SQL renames every column above its table,
+            # and a renamed column still belongs to its table's group
+            if all(x_owners[a] <= group for a in q_x):
                 updated.append(group | other_bases)
                 extended = True
             elif x_preserved:

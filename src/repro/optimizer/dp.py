@@ -41,7 +41,7 @@ from repro.errors import OptimizerInternalError
 
 from itertools import combinations
 
-from repro.expr.nodes import BaseRel, Expr, Join, JoinKind, Sort
+from repro.expr.nodes import Expr, Join, JoinKind, Sort
 from repro.expr.orderprops import OrderSpec, normalize_order, order_satisfies
 from repro.expr.predicates import Predicate, conjuncts_of, make_conjunction
 from repro.expr.rewrite import iter_nodes
@@ -55,21 +55,53 @@ class DpError(OptimizerInternalError):
     """Raised when the query shape is outside the DP's scope."""
 
 
+def _is_leaf(node: Expr) -> bool:
+    """A subtree over one base relation with no binary node inside.
+
+    SQL translation wraps each table in ``Select``/``Rename``/``Project``
+    nodes; the DP treats the whole stack as one relation.
+    """
+    if len(node.base_names) != 1:
+        return False
+    children = node.children()
+    while children:
+        if len(children) > 1:
+            return False
+        children = children[0].children()
+    return True
+
+
 class _Workspace:
-    """Shared state of one DP run: leaves, atoms, selectivities."""
+    """Shared state of one DP run: leaves, atoms, selectivities.
+
+    The core is walked explicitly through inner joins and ``Sort``
+    enforcers (transparent to the join core), never into a leaf (see
+    :func:`_is_leaf`); leaves are keyed by their one base name.
+
+    With a :class:`repro.runtime.feedback.FeedbackStore` attached to
+    ``stats``, base estimates are corrected by leaf observations and
+    atom selectivities by per-atom predicate factors.  Both keys name
+    a leaf or an atom, never a plan shape, so the cardinality of a
+    subset stays shape-independent.
+    """
 
     def __init__(self, query: Expr, stats: Statistics) -> None:
-        self.leaves: dict[str, BaseRel] = {}
+        self.leaves: dict[str, Expr] = {}
         self.atoms: list[Predicate] = []
-        for _, node in iter_nodes(query):
+        stack = [query]
+        while stack:
+            node = stack.pop()
             if isinstance(node, Join):
                 if node.kind is not JoinKind.INNER:
                     raise DpError("dp_join_order handles inner joins only")
                 self.atoms.extend(conjuncts_of(node.predicate))
-            elif isinstance(node, BaseRel):
-                self.leaves[node.name] = node
+                stack.append(node.right)
+                stack.append(node.left)
             elif isinstance(node, Sort):
-                pass  # order enforcers are transparent to the join core
+                stack.append(node.child)
+            elif _is_leaf(node):
+                (name,) = node.base_names
+                self.leaves[name] = node
             else:
                 raise DpError(
                     f"unsupported node {type(node).__name__} in the join core"
@@ -78,19 +110,21 @@ class _Workspace:
         self.base_estimates = {
             name: estimate(rel, stats) for name, rel in self.leaves.items()
         }
-        self.owner = {
-            attr: name
-            for name, rel in self.leaves.items()
-            for attr in rel.all_attrs
-        }
         merged_distinct: dict[str, float] = {}
         merged_freq: dict = {}
         for est in self.base_estimates.values():
             merged_distinct.update(est.distinct)
             merged_freq.update(est.freq)
         self._global = Estimate(0.0, merged_distinct, merged_freq)
+        feedback = getattr(stats, "feedback", None)
         self.atom_selectivity = {
-            atom: selectivity(atom, self._global) for atom in self.atoms
+            atom: selectivity(atom, self._global)
+            * (
+                1.0
+                if feedback is None
+                else feedback.predicate_factor(atom, stats.version)
+            )
+            for atom in self.atoms
         }
 
     def attrs_of(self, subset: frozenset[str]) -> set[str]:
@@ -117,12 +151,13 @@ class _Workspace:
 def dp_join_order(query: Expr, stats: Statistics, budget=None) -> Expr:
     """The cheapest bushy join order for an inner-join query.
 
-    ``query`` must be a tree of inner joins over base relations (outer
-    joins go through the transformation pipeline instead); returns an
-    equivalent tree minimizing the shape-independent C_out.  An
-    optional :class:`repro.runtime.Budget` adds a deadline checkpoint
-    per enumerated subset (the table is exponential in the relation
-    count, so large queries need one).
+    ``query`` must be a tree of inner joins over single-relation
+    leaves (outer joins go through the transformation pipeline
+    instead, :class:`DpError` says so); returns an equivalent tree
+    minimizing the shape-independent C_out.  An optional
+    :class:`repro.runtime.Budget` adds a deadline checkpoint per
+    enumerated subset and charges one plan per table entry, so
+    ``max_plans`` bounds the DP as it bounds the closure.
     """
     ws = _Workspace(query, stats)
     if len(ws.leaves) < 2:
@@ -154,7 +189,8 @@ def dp_order_subset(
     ``(None, masks_expanded)`` when it is unreachable (the induced
     sub-hypergraph is disconnected).  ``ws`` and ``graph`` may cover a
     superset of ``names`` -- the partitioned tier shares one workspace
-    across every partition it solves.
+    across every partition it solves.  Each filled table entry is
+    charged to ``budget`` as one plan.
     """
     ordered = sorted(names)
     best: dict[frozenset[str], tuple[float, Expr]] = {
@@ -222,6 +258,8 @@ def dp_order_subset(
                         )
                         candidate = (cost, plan)
             if candidate is not None:
+                if budget is not None:
+                    budget.charge_plans(1, "dp_join_order")
                 best[subset] = candidate
 
     return best.get(frozenset(ordered)), masks_expanded
@@ -248,7 +286,7 @@ ParetoEntries = "dict[OrderSpec, tuple[float, Expr]]"
 def _real_attrs_of(ws: _Workspace, subset: frozenset[str]) -> set[str]:
     out: set[str] = set()
     for name in subset:
-        out.update(ws.leaves[name].attrs)
+        out.update(ws.leaves[name].real_attrs)
     return out
 
 

@@ -41,6 +41,7 @@ from repro.expr.predicates import Col, Comparison, conjuncts_of
 from repro.expr.rewrite import iter_nodes
 from repro.optimizer.cost import CostModel
 from repro.optimizer.dp import DpError, pareto_frontier
+from repro.optimizer.planner import peel_wrappers, rebuild_wrappers
 from repro.optimizer.stats import Statistics
 
 
@@ -167,6 +168,7 @@ def order_aware_reorder(
     stats: Statistics,
     required: OrderSpec = (),
     budget=None,
+    max_relations: int | None = None,
 ) -> Expr:
     """Order-aware refinement of an already-reordered plan.
 
@@ -177,17 +179,19 @@ def order_aware_reorder(
     the candidate minimizing :func:`refined_cost`.  The input plan
     (plus, when needed, a root Sort) is always among the candidates,
     so the result never costs more than the order-blind plan with a
-    root enforcer; when the core is not a pure inner-join tree the
-    pass degenerates to exactly that root-enforcement step.
+    root enforcer.  When the core is not a pure inner-join tree, or
+    joins more than ``max_relations`` relations (the Pareto table is
+    exponential in that count), the pass degenerates to exactly that
+    root-enforcement step.
     """
-    from repro.optimizer.tiers import peel_wrappers, rebuild_wrappers
-
     required = normalize_order(required)
     wrappers, core = peel_wrappers(plan)
     eq = equality_classes(core)
     candidates: list[Expr] = [plan]
     interesting = interesting_orders(core, wrappers, required)
-    if interesting:
+    if interesting and (
+        max_relations is None or len(core.base_names) <= max_relations
+    ):
         try:
             frontier = pareto_frontier(
                 core, stats, interesting, budget=budget, eq=eq

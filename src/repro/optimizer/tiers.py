@@ -43,61 +43,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> optimizer)
     from repro.runtime.budget import Budget
 
 from repro.core.simplify import simplify_outer_joins
-from repro.expr.nodes import (
-    AdjustPadding,
-    Expr,
-    GenSelect,
-    GroupBy,
-    Join,
-    JoinKind,
-    Project,
-    Select,
-    Sort,
-)
+from repro.expr.nodes import Expr, Join, JoinKind
 from repro.expr.predicates import make_conjunction
 from repro.hypergraph import hypergraph_of
 from repro.optimizer.cost import estimated_cost
 from repro.optimizer.dp import DpError, _Workspace, dp_order_subset
-from repro.optimizer.planner import OptimizationResult
+from repro.optimizer.planner import (
+    OptimizationResult,
+    peel_wrappers,
+    rebuild_wrappers,
+)
 from repro.optimizer.stats import Statistics
 from repro.runtime.budget import DEFAULT_TIERS, TierThresholds
 from repro.runtime.tracing import span
 
-#: The unary wrappers the reordering tiers peel off the join core, in
-#: the order they may legally nest (outermost first during peeling).
-WRAPPER_TYPES = (GroupBy, GenSelect, AdjustPadding, Project, Select, Sort)
-
 #: CLI-facing tier names.
 TIER_NAMES = ("auto", "dp", "partitioned", "goo")
-
-
-def peel_wrappers(expr: Expr) -> tuple[list[Expr], Expr]:
-    """Split ``expr`` into its unary wrapper chain and the join core.
-
-    Returns ``(stack, core)`` where ``stack`` lists the wrappers
-    outermost-first; :func:`rebuild_wrappers` inverts it.
-    """
-    stack: list[Expr] = []
-    core: Expr = expr
-    while isinstance(core, WRAPPER_TYPES):
-        stack.append(core)
-        core = core.children()[0]
-    return stack, core
-
-
-def rebuild_wrappers(stack: list[Expr], core: Expr) -> Expr:
-    """Re-wrap a reordered join core in its peeled wrapper chain."""
-    out = core
-    for wrapper in reversed(stack):
-        out = dc_replace(wrapper, child=out)
-    return out
 
 
 def choose_tier(n_relations: int, thresholds: TierThresholds | None = None) -> str:
@@ -358,7 +326,8 @@ def _leaf_order(plan: Expr) -> list[str]:
             stack.append(node.right)
             stack.append(node.left)
         else:
-            order.append(node.name)
+            (name,) = node.base_names
+            order.append(name)
     return order
 
 

@@ -302,16 +302,32 @@ class FeedbackStore:
                 return entry.rows
             predicate = getattr(expr, "predicate", None)
             if predicate is not None:
-                entry = self._entries.get(predicate_key(predicate))
-                if (
-                    entry is not None
-                    and not entry.quarantined
-                    and entry.factor != 1.0
-                    and entry.stats_version == stats_version
-                ):
-                    self.applied += 1
-                    return est_rows * entry.factor
+                factor = self._factor(predicate, stats_version)
+                if factor != 1.0:
+                    return est_rows * factor
         return None
+
+    def predicate_factor(self, predicate, stats_version: int = 0) -> float:
+        """The selectivity correction observed for ``predicate`` (1.0
+        when no applicable entry exists).  Keyed by the predicate
+        alone, so the join DP can apply it per atom whatever plan
+        shape produced the observation."""
+        if not self._entries:
+            return 1.0
+        with self._lock:
+            return self._factor(predicate, stats_version)
+
+    def _factor(self, predicate, stats_version: int) -> float:
+        entry = self._entries.get(predicate_key(predicate))
+        if (
+            entry is None
+            or entry.quarantined
+            or entry.factor == 1.0
+            or entry.stats_version != stats_version
+        ):
+            return 1.0
+        self.applied += 1
+        return entry.factor
 
     # -- maintenance / introspection -------------------------------------
 

@@ -612,6 +612,9 @@ class QuerySession:
                     self.stats,
                     required=tuple(required_order),
                     budget=stage_budget,
+                    max_relations=self._thresholds(
+                        stage_budget
+                    ).full_max_relations,
                 )
         except (BudgetExceeded, OptimizerInternalError, ExprError):
             return optimized

@@ -18,6 +18,7 @@ from repro.expr import (
     left_outer,
     right_outer,
 )
+from repro.expr.nodes import Rename
 from repro.expr.predicates import eq, make_conjunction
 from repro.workloads.random_db import random_database
 
@@ -93,6 +94,28 @@ class TestNonRootShapes:
             p14,
         )
         res = defer_conjunct(q, (0,), p13)
+        assert res.groups == (frozenset({"r1", "r4"}),)
+        assert_equivalent(q, res.expr, ("r1", "r2", "r3", "r4"))
+
+    def test_renamed_attributes_still_extend_the_group(self):
+        """The same shape with every table under a Rename, as SQL
+        translation builds it: the ancestor's predicate names renamed
+        attributes, which still belong to r1, so pres = {r1, r4}."""
+
+        def renamed(rel):
+            return Rename(rel, tuple((a, "x" + a) for a in rel.attrs))
+
+        r1, r2, r3, r4 = (renamed(r) for r in (R1, R2, R3, R4))
+        q = inner(
+            left_outer(
+                r1,
+                inner(r2, r3, eq("xr2_a1", "xr3_a0")),
+                make_conjunction([eq("xr1_a0", "xr2_a0"), eq("xr1_a1", "xr3_a1")]),
+            ),
+            r4,
+            eq("xr1_a1", "xr4_a0"),
+        )
+        res = defer_conjunct(q, (0,), eq("xr1_a1", "xr3_a1"))
         assert res.groups == (frozenset({"r1", "r4"}),)
         assert_equivalent(q, res.expr, ("r1", "r2", "r3", "r4"))
 

@@ -160,11 +160,11 @@ class TestMain:
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
-        # the SQL core carries Rename nodes, which the GOO workspace
-        # declines -- the ladder answers at the greedy rung below and
-        # says so; the rows are still right either way
+        # the SQL core's leaves are Rename-wrapped tables, which the
+        # GOO workspace takes as single relations -- the forced tier
+        # answers itself, with the right rows
         assert "3 row(s)" in out
-        assert "-- stage: greedy" in out
+        assert "-- stage: goo" in out
 
     def test_explain_with_forced_enum_tier(self, data_dir, tmp_path, capsys):
         script = tmp_path / "q.sql"
