@@ -5,6 +5,11 @@ conjunct that references an aggregated column (Example 3.1); step b)
 enumerate all equivalent expression trees of the join core (complex
 predicates broken up via generalized selection).  The optimizer picks
 the cheapest tree; :func:`reorder_pipeline` yields them all.
+
+:func:`normalize` is step a) alone; the optimizer runs it once and
+hands the result to :func:`reorder_pipeline` when the core needs the
+closure.  Every core plan keeps the seed core's attribute set, so the
+peeled wrappers are rebuilt over each one without re-validation.
 """
 
 from __future__ import annotations
@@ -25,24 +30,39 @@ from repro.expr.nodes import (
 from repro.core.aggregation import pull_up_aggregations
 from repro.core.simplify import simplify_outer_joins
 from repro.core.transform import enumerate_plans
+from repro.expr.rewrite import _respine
 from repro.runtime.tracing import span
 
 
+def normalize(query: Expr) -> Expr:
+    """Step a): outer joins simplified, aggregations pulled to the root.
+
+    :func:`repro.optimizer.planner.optimize` normalizes once through
+    here and hands the result to :func:`reorder_pipeline`.
+    """
+    with span("pipeline.normalize"):
+        return pull_up_aggregations(simplify_outer_joins(query))
+
+
 def reorder_pipeline(
-    query: Expr, max_plans: int = 20000, budget: "Budget | None" = None
+    query: Expr,
+    max_plans: int = 20000,
+    budget: "Budget | None" = None,
+    normalized: Expr | None = None,
 ) -> list[Expr]:
     """All equivalent plans for ``query``.
 
     The query is simplified, its aggregations are pulled to the root
     (predicates on aggregated columns deferred with generalized
     selections), and the join core below is enumerated by the rewrite
-    closure.  Each returned plan is equivalent to ``query``.  An
-    optional ``budget`` makes enumeration raise the typed
-    :class:`repro.errors.BudgetExceeded` family instead of running
-    unbounded (see :func:`repro.core.transform.enumerate_plans`).
+    closure.  Each returned plan is equivalent to ``query``.  A caller
+    that already holds :func:`normalize`'s result passes it as
+    ``normalized``.  An optional ``budget`` makes enumeration raise the
+    typed :class:`repro.errors.BudgetExceeded` family instead of
+    running unbounded (see :func:`repro.core.transform.enumerate_plans`).
     """
-    with span("pipeline.normalize"):
-        normalized = pull_up_aggregations(simplify_outer_joins(query))
+    if normalized is None:
+        normalized = normalize(query)
     if budget is not None:
         budget.check_deadline("reorder_pipeline")
 
@@ -58,9 +78,11 @@ def reorder_pipeline(
     with span("pipeline.enumerate"):
         core_plans = enumerate_plans(core, max_plans=max_plans, budget=budget)
     for core_plan in core_plans:
+        # every core plan has the seed core's attribute set, so the
+        # wrappers stay valid and are rebuilt without re-validation
         plan = core_plan
         for wrapper in reversed(stack):
-            plan = _rewrap(wrapper, plan)
+            plan = _respine(wrapper, (plan,))
         plans.append(plan)
     # the as-written shape (lazy aggregation) remains a candidate: when
     # the eager/pushed-up form loses (unselective filters), the
@@ -70,9 +92,3 @@ def reorder_pipeline(
     if normalized not in plans:
         plans.append(normalized)
     return plans
-
-
-def _rewrap(wrapper: Expr, child: Expr) -> Expr:
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(wrapper, child=child)

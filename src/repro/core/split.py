@@ -47,7 +47,7 @@ from repro.expr.nodes import (
     preserved_for,
 )
 from repro.expr.predicates import Predicate, conjuncts_of, make_conjunction
-from repro.expr.rewrite import Path, ancestors_of, node_at, replace_at
+from repro.expr.rewrite import Path, _respine, ancestors_of, node_at
 from repro.runtime.tracing import add_counter
 
 
@@ -73,84 +73,104 @@ def defer_conjunct(root: Expr, path: Path, conjunct: Predicate) -> DeferResult:
 
     Every node on the path (including the root) must be a Join; the
     pipeline arranges this by operating on join cores.  Returns the
-    equivalent expression ``σ*_conjunct[groups](root')``.
+    equivalent expression ``σ*_conjunct[groups](root')``.  The walk is
+    :func:`defer_step` folded over the ancestors, innermost first.
+    """
+    node, groups = defer_seed(node_at(root, path), conjunct)
+    lineage = ancestors_of(root, path)
+    for depth in range(len(lineage) - 1, -1, -1):
+        node, groups = defer_step(lineage[depth][1], path[depth], node, groups)
+    return compensate(node, conjunct, groups)
+
+
+def defer_seed(target: Expr, conjunct: Predicate) -> tuple[Join, list[frozenset[str]]]:
+    """``target`` without ``conjunct``, and the preserved groups it seeds.
+
+    The groups are the full relation sets of the split operator's
+    preserved operands (the paper's ``pres(h)``).  Each seed counts
+    one ``defer_conjunct_calls`` on the enclosing span.
     """
     add_counter("defer_conjunct_calls")
-    target = node_at(root, path)
     if not isinstance(target, Join):
-        raise SplitError(f"node at {path} is not a join")
+        raise SplitError(f"the split node {type(target).__name__} is not a join")
     atoms = conjuncts_of(target.predicate)
     if conjunct not in atoms:
         raise SplitError(f"{conjunct} is not a conjunct of the join predicate")
     remaining = make_conjunction([a for a in atoms if a != conjunct])
-
-    new_target = dc_replace(target, predicate=remaining)
-    new_root = replace_at(root, path, new_target)
-
-    groups = _walk_preserved(root, path, target)
-    preserved = tuple(
-        preserved_for(new_root, g, label="".join(sorted(g))) for g in groups
-    )
-    gs = GenSelect(new_root, conjunct, preserved)
-    return DeferResult(gs, conjunct, tuple(groups))
-
-
-def _walk_preserved(
-    root: Expr, path: Path, target: Join
-) -> list[frozenset[str]]:
-    """The preserved relation groups for deferring a conjunct of ``target``."""
     groups: list[frozenset[str]] = []
     if target.kind.preserves_left:
         groups.append(target.left.base_names)
     if target.kind.preserves_right:
         groups.append(target.right.base_names)
+    return dc_replace(target, predicate=remaining), groups
 
-    lineage = ancestors_of(root, path)
-    # innermost ancestor first
-    for depth in range(len(lineage) - 1, -1, -1):
-        _, ancestor = lineage[depth]
-        if not isinstance(ancestor, Join):
-            raise SplitError(
-                f"ancestor {type(ancestor).__name__} above the split is not a "
-                "join; defer within the join core"
-            )
-        x_index = path[depth]
-        x_side = ancestor.children()[x_index]
-        other = ancestor.children()[1 - x_index]
-        other_bases = other.base_names
-        x_owners = x_side.attr_owners
-        q_x = ancestor.predicate.attrs & x_owners.keys()
-        x_preserved = (
-            ancestor.kind.preserves_left
-            if x_index == 0
-            else ancestor.kind.preserves_right
-        )
-        other_preserved = (
-            ancestor.kind.preserves_right
-            if x_index == 0
-            else ancestor.kind.preserves_left
-        )
 
-        updated: list[frozenset[str]] = []
-        extended = False
-        for group in groups:
-            # by ownership: SQL renames every column above its table,
-            # and a renamed column still belongs to its table's group
-            if all(x_owners[a] <= group for a in q_x):
-                updated.append(group | other_bases)
-                extended = True
-            elif x_preserved:
-                updated.append(group)
-            # otherwise the padding dies at this ancestor: drop the group
-        if other_preserved and not extended:
-            # a group extended across the ancestor already preserves the
-            # other side's tuples (their padding pairs with the group's
-            # parts), so the far-side group is only added when no
-            # extension subsumes it -- validated empirically
-            updated.append(other_bases)
-        groups = updated
-        _check_disjoint(groups)
-    return _dedupe(groups)
+def defer_step(
+    ancestor: Expr,
+    x_index: int,
+    new_child: Expr,
+    groups: list[frozenset[str]],
+) -> tuple[Expr, list[frozenset[str]]]:
+    """One ancestor of the preserved-set walk.
+
+    ``ancestor`` is the original join whose child ``x_index`` holds the
+    split; ``new_child`` is that child with the conjunct already
+    removed.  Returns the ancestor rebuilt over ``new_child`` and the
+    groups updated across it.  Raises :class:`SplitError` when the
+    ancestor is not a join or the groups overlap.
+    """
+    if not isinstance(ancestor, Join):
+        raise SplitError(
+            f"ancestor {type(ancestor).__name__} above the split is not a "
+            "join; defer within the join core"
+        )
+    x_side = ancestor.children()[x_index]
+    other = ancestor.children()[1 - x_index]
+    other_bases = other.base_names
+    x_owners = x_side.attr_owners
+    q_x = ancestor.predicate.attrs & x_owners.keys()
+    x_preserved = (
+        ancestor.kind.preserves_left
+        if x_index == 0
+        else ancestor.kind.preserves_right
+    )
+    other_preserved = (
+        ancestor.kind.preserves_right
+        if x_index == 0
+        else ancestor.kind.preserves_left
+    )
+
+    updated: list[frozenset[str]] = []
+    extended = False
+    for group in groups:
+        # by ownership: SQL renames every column above its table,
+        # and a renamed column still belongs to its table's group
+        if all(x_owners[a] <= group for a in q_x):
+            updated.append(group | other_bases)
+            extended = True
+        elif x_preserved:
+            updated.append(group)
+        # otherwise the padding dies at this ancestor: drop the group
+    if other_preserved and not extended:
+        # a group extended across the ancestor already preserves the
+        # other side's tuples (their padding pairs with the group's
+        # parts), so the far-side group is only added when no
+        # extension subsumes it -- validated empirically
+        updated.append(other_bases)
+    _check_disjoint(updated)
+    children = (new_child, other) if x_index == 0 else (other, new_child)
+    return _respine(ancestor, children), updated
+
+
+def compensate(
+    root: Expr, conjunct: Predicate, groups: list[frozenset[str]]
+) -> DeferResult:
+    """``σ*_conjunct[groups](root)``: the walk's result at the root."""
+    groups = _dedupe(groups)
+    preserved = tuple(
+        preserved_for(root, g, label="".join(sorted(g))) for g in groups
+    )
+    return DeferResult(GenSelect(root, conjunct, preserved), conjunct, tuple(groups))
 
 
 def _check_disjoint(groups: list[frozenset[str]]) -> None:

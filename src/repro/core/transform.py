@@ -22,11 +22,22 @@ rewrite rules:
 Every plan in the closure is equivalent to the seed; the rules were
 validated on randomized databases and the property tests re-check
 closure-wide equivalence.
+
+The plans of a closure share almost all their subtrees (the 400
+plans of the end-to-end benchmark's ``chain5_mixed_complex`` core
+visit 6 192 nodes but hold 908 distinct subtrees), so the work is
+memoized per subtree for the length of one call
+(:class:`_ClosureMemo`): each rule fires once per distinct subtree,
+each deferral walk steps once per distinct ancestor, and a variant
+re-wraps the shared subtree objects one level at a time.  The variant
+lists come out in the order of a pre-order walk of each whole plan,
+so the plan list, its order and its cut at ``max_plans`` are those of
+the plain per-plan walk (``tests/core/test_closure_memo.py`` keeps
+that walk as the reference).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> core)
@@ -45,8 +56,8 @@ from repro.expr.predicates import (
     conjuncts_of,
     make_conjunction,
 )
-from repro.expr.rewrite import iter_nodes, replace_at
-from repro.core.split import SplitError, defer_conjunct
+from repro.expr.rewrite import _respine, with_children
+from repro.core.split import SplitError, compensate, defer_seed, defer_step
 from repro.runtime.tracing import add_counter
 
 
@@ -312,49 +323,6 @@ LOCAL_RULES = (
 )
 
 
-def _local_variants(expr: Expr, rules=LOCAL_RULES) -> Iterator[Expr]:
-    for path, node in iter_nodes(expr):
-        for rule in rules:
-            for replacement in rule(node):
-                yield replace_at(expr, path, replacement)
-
-
-def _defer_variants(expr: Expr) -> Iterator[Expr]:
-    """Defer one conjunct of any join whose predicate has several atoms.
-
-    The deferral rewrites the join core into a standalone-equivalent
-    GenSelect-over-core, so it applies transparently below any unary
-    wrapper chain (GenSelect stack, GroupBy, padding adjustment) by
-    congruence.
-    """
-    from repro.expr.rewrite import with_children
-
-    # locate the join core below the root's unary wrapper chain
-    wrappers: list[Expr] = []
-    core = expr
-    while not isinstance(core, Join) and len(core.children()) == 1:
-        wrappers.append(core)
-        core = core.children()[0]
-    if not isinstance(core, Join):
-        return
-    for path, node in iter_nodes(core):
-        if not isinstance(node, Join):
-            continue
-        atoms = conjuncts_of(node.predicate)
-        if len(atoms) < 2:
-            continue
-        # only walk through pure-join lineages
-        for atom in atoms:
-            try:
-                result = defer_conjunct(core, path, atom)
-            except SplitError:
-                continue
-            rebuilt: Expr = result.expr
-            for wrapper in reversed(wrappers):
-                rebuilt = with_children(wrapper, (rebuilt,))
-            yield rebuilt
-
-
 GS_FREE_RULES = tuple(
     rule
     for rule in LOCAL_RULES
@@ -375,16 +343,16 @@ def enumerate_plans(
     with_gs: bool = True,
     budget: "Budget | None" = None,
 ) -> list[Expr]:
-    """The closure of ``seed`` under the rewrite rules (BFS, deduped).
+    """The closure of ``seed`` under the rewrite rules (DFS, deduped).
 
     Every returned expression is equivalent to ``seed``.  The closure
-    is capped at ``max_plans`` expansions as a safety net; the cap is
-    never hit for the paper-sized queries.  ``with_gs=False`` restricts
-    to the classical rules (no conjunct deferral, no generalized
-    join) -- the pre-paper baseline where complex predicates freeze
-    the order.
+    is capped at ``max_plans`` plans as a safety net; a cut closure
+    records a ``closure_truncated`` counter on the enclosing span.
+    ``with_gs=False`` restricts to the classical rules (no conjunct
+    deferral, no generalized join) -- the pre-paper baseline where
+    complex predicates freeze the order.
 
-    ``budget`` adds *hard* limits on top of the soft cap: each BFS
+    ``budget`` adds *hard* limits on top of the soft cap: each
     expansion is a cooperative checkpoint (deadline check), and every
     distinct plan admitted to the closure charges the plan counter, so
     an exploding closure raises :class:`repro.errors.PlanBudgetExceeded`
@@ -393,7 +361,7 @@ def enumerate_plans(
     """
     if not with_gs:
         with_deferral = False
-    rules = LOCAL_RULES if with_gs else GS_FREE_RULES
+    memo = _ClosureMemo(LOCAL_RULES if with_gs else GS_FREE_RULES)
     if budget is not None:
         budget.charge_plans(1, "enumerate_plans")
     seen: dict[Expr, None] = {seed: None}
@@ -404,18 +372,109 @@ def enumerate_plans(
         expansions += 1
         if budget is not None:
             budget.check_deadline("enumerate_plans")
-        variants: list[Expr] = list(_local_variants(expr, rules))
+        variants = memo.variants(expr)
         if with_deferral:
-            variants.extend(_defer_variants(expr))
+            variants += memo.deferrals(expr)
         for variant in variants:
             if variant not in seen:
                 if len(seen) >= max_plans:
+                    add_counter("closure_truncated")
                     return _accounted(seen, expansions)
                 if budget is not None:
                     budget.charge_plans(1, "enumerate_plans")
                 seen[variant] = None
                 frontier.append(variant)
     return _accounted(seen, expansions)
+
+
+class _ClosureMemo:
+    """Per-subtree memo tables for one :func:`enumerate_plans` call.
+
+    Both tables are keyed by (structurally equal) subtree; their lists
+    come out in pre-order of the whole plan, the order the closure
+    admits plans in (see the module docstring).
+    """
+
+    def __init__(self, rules: tuple) -> None:
+        self.rules = rules
+        self._variants: dict[Expr, list[Expr]] = {}
+        self._partials: dict[Expr, list[tuple[Predicate, Expr, list]]] = {}
+
+    def variants(self, node: Expr) -> list[Expr]:
+        """Every single-rule rewrite of ``node`` or of one of its subtrees.
+
+        The rules at ``node`` in rule order, then each child's variants
+        re-wrapped one level, child by child.  Only the children's lists
+        are kept: a plan is expanded once, so its own list would be
+        held to the end of the call for nothing.
+        """
+        out = [new for rule in self.rules for new in rule(node)]
+        children = node.children()
+        if len(children) == 2:
+            left, right = children
+            out += [_respine(node, (v, right)) for v in self._memoized(left)]
+            out += [_respine(node, (left, v)) for v in self._memoized(right)]
+        elif children:
+            out += [_respine(node, (v,)) for v in self._memoized(children[0])]
+        return out
+
+    def _memoized(self, node: Expr) -> list[Expr]:
+        out = self._variants.get(node)
+        if out is None:
+            out = self._variants[node] = self.variants(node)
+        return out
+
+    def deferrals(self, expr: Expr) -> list[Expr]:
+        """Defer one conjunct of any join whose predicate has several atoms.
+
+        The deferral rewrites the join core into a standalone-equivalent
+        GenSelect-over-core, so it applies transparently below any unary
+        wrapper chain (GenSelect stack, GroupBy, padding adjustment) by
+        congruence.
+        """
+        # locate the join core below the root's unary wrapper chain
+        wrappers: list[Expr] = []
+        core = expr
+        while not isinstance(core, Join) and len(core.children()) == 1:
+            wrappers.append(core)
+            core = core.children()[0]
+        if not isinstance(core, Join):
+            return []
+        out = []
+        for conjunct, new_core, groups in self._partial_deferrals(core):
+            rebuilt: Expr = compensate(new_core, conjunct, groups).expr
+            for wrapper in reversed(wrappers):
+                rebuilt = with_children(wrapper, (rebuilt,))
+            out.append(rebuilt)
+        return out
+
+    def _partial_deferrals(self, node: Expr) -> list[tuple[Predicate, Expr, list]]:
+        """Every conjunct deferral inside ``node``, walked up to ``node``.
+
+        ``(conjunct, node without it, preserved groups)`` per multi-atom
+        join site in pre-order and per atom; a walk that fails at some
+        ancestor is dropped, as :func:`defer_conjunct` would raise.
+        Only joins can be ancestors of a split, so any other node has
+        none.
+        """
+        out = self._partials.get(node)
+        if out is not None:
+            return out
+        out = []
+        if isinstance(node, Join):
+            atoms = conjuncts_of(node.predicate)
+            if len(atoms) >= 2:
+                for atom in atoms:
+                    out.append((atom, *defer_seed(node, atom)))
+            for index, child in enumerate(node.children()):
+                for conjunct, new_child, groups in self._partial_deferrals(child):
+                    try:
+                        step = defer_step(node, index, new_child, groups)
+                    except SplitError:
+                        continue
+                    out.append((conjunct, *step))
+        self._partials[node] = out
+        return out
 
 
 def _accounted(seen: dict[Expr, None], expansions: int) -> list[Expr]:

@@ -23,9 +23,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> optimizer)
     from repro.runtime.budget import Budget
 
-from repro.core.aggregation import pull_up_aggregations
-from repro.core.pipeline import reorder_pipeline
-from repro.core.simplify import simplify_outer_joins
+from repro.core.pipeline import normalize, reorder_pipeline
 from repro.errors import OptimizerInternalError
 from repro.expr.nodes import (
     AdjustPadding,
@@ -132,13 +130,15 @@ def optimize(
                 f"query joins {n} relations, above the full-enumeration "
                 f"ceiling of {max_relations}"
             )
-    normalized = pull_up_aggregations(simplify_outer_joins(query))
+    normalized = normalize(query)
     stack, core = peel_wrappers(normalized)
     try:
         ordered = dp_join_order(core, stats, budget=budget)
     except DpError:
         with span("optimize.enumerate"):
-            plans = reorder_pipeline(query, max_plans=max_plans, budget=budget)
+            plans = reorder_pipeline(
+                query, max_plans=max_plans, budget=budget, normalized=normalized
+            )
     else:
         dp_plan = rebuild_wrappers(stack, ordered)
         plans = list(dict.fromkeys((dp_plan, query, normalized)))

@@ -16,7 +16,11 @@ Scans ``README.md`` and every ``docs/*.md`` for
   ``OBSERVABILITY.md`` / ``ROBUSTNESS.md`` / ``SCALING.md`` must
   correspond to a string constant (or dotted composition of known
   constants/identifiers) somewhere under ``src/repro`` -- so a renamed
-  span or deleted metric fails CI instead of silently rotting the docs.
+  span or deleted metric fails CI instead of silently rotting the docs;
+* **dangling span tags and counters** -- every backticked name in the
+  ``Tags / counters`` column of ``OBSERVABILITY.md``'s span table
+  (example values in parentheses aside) must be a string constant or
+  an identifier under ``src/repro``, so a counter nothing emits fails.
 
 Exit status is non-zero when any problem is found; each problem is
 reported as ``path:line: message``.  Run from the repo root (CI's
@@ -235,6 +239,40 @@ def check_references(
     return problems
 
 
+#: an innermost parenthesized aside: example values, not emitted names
+_ASIDE = re.compile(r"\([^()]*\)")
+
+
+def check_span_counters(
+    path: Path, lines: list[str], names: dict[str, set[str]]
+) -> list[str]:
+    """Cross-check the span table's tags/counters column against the code."""
+    problems = []
+    column = None
+    for lineno, line in enumerate(lines, 1):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.lstrip().startswith("|"):
+            column = None
+            continue
+        if column is None:
+            if cells[0] == "Span" and "Tags / counters" in cells:
+                column = cells.index("Tags / counters")
+            continue
+        if len(cells) <= column:
+            continue
+        text = cells[column]
+        while _ASIDE.search(text):
+            text = _ASIDE.sub("", text)
+        for span in _CODE_SPAN.findall(text):
+            token = span.strip("`")
+            if token not in names["literals"] and token not in names["identifiers"]:
+                problems.append(
+                    f"{path.relative_to(REPO)}:{lineno}: span tag/counter "
+                    f"`{token}` does not exist in src/repro"
+                )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     files = doc_files()
@@ -245,6 +283,8 @@ def main() -> int:
         problems += check_fences(path, lines)
         if path.name in REFERENCE_CHECKED:
             problems += check_references(path, lines, names)
+        if path.name == "OBSERVABILITY.md":
+            problems += check_span_counters(path, lines, names)
     for problem in problems:
         print(problem)
     print(
