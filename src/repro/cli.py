@@ -415,13 +415,6 @@ def run_script(
     return code
 
 
-def _sort_key(value):
-    # the one NULLS-LAST convention shared with the Sort operator
-    from repro.relalg.ordering import value_key
-
-    return value_key(value)
-
-
 def _order_and_limit(relation: Relation, translation, chosen=None) -> Relation:
     """Apply the statement's ORDER BY / LIMIT presentation directives.
 

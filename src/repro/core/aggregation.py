@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from repro.errors import OptimizerInternalError
 
-import itertools
 from dataclasses import replace as dc_replace
 
 from repro.expr.nodes import (
@@ -68,7 +67,21 @@ class PullUpError(OptimizerInternalError):
     """Raised when a GroupBy cannot be pulled above its parent join."""
 
 
-_witness_counter = itertools.count()
+def _fresh_witness(join: Join) -> str:
+    """The first ``__witness<k>`` no node under ``join`` carries.
+
+    Named from the tree, not from a counter, so one query normalizes
+    to the same tree on every request and in every process.  A witness
+    is live only from its GroupBy to the AdjustPadding that consumes
+    it, so names under ``join`` are the only ones it can meet.
+    """
+    taken: set[str] = set()
+    for _, node in iter_nodes(join):
+        taken.update(node.all_attrs)
+    k = 0
+    while f"__witness{k}" in taken:
+        k += 1
+    return f"__witness{k}"
 
 
 def spine_virtuals(expr: Expr) -> frozenset[str]:
@@ -170,7 +183,7 @@ def pull_up_once(join: Join) -> Expr:
                 "push-up over a preserving join needs a spine row id in "
                 "the aggregation input"
             )
-        witness = f"__witness{next(_witness_counter)}"
+        witness = _fresh_witness(join)
         new_aggs.append(
             AggregateSpec(witness, AggregateFunction.COUNT, min(spine))
         )

@@ -135,12 +135,6 @@ def iter_nodes(root: Expr) -> Iterator[tuple[Path, Expr]]:
             stack.append((path + (i,), children[i]))
 
 
-def find_nodes(
-    root: Expr, want: Callable[[Expr], bool]
-) -> list[tuple[Path, Expr]]:
-    return [(p, n) for p, n in iter_nodes(root) if want(n)]
-
-
 def ancestors_of(root: Expr, path: Path) -> list[tuple[Path, Expr]]:
     """Ancestors of the node at ``path``, outermost first (root first)."""
     out = []

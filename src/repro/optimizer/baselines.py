@@ -216,14 +216,9 @@ def _left_deep(
                     continue
                 r_attrs = set(ws.leaves[name].all_attrs)
                 new_subset = subset | {name}
-                new_attrs = ws.attrs_of(new_subset)
-                applicable = [
-                    atom
-                    for atom in ws.atoms
-                    if atom.attrs <= new_attrs
-                    and atom.attrs & s_attrs
-                    and atom.attrs & r_attrs
-                ]
+                applicable = ws.atoms_joining(
+                    ws.attrs_of(new_subset), s_attrs, r_attrs
+                )
                 if not applicable and not allow_cross:
                     continue
                 new_cost = cost + ws.cardinality(new_subset)

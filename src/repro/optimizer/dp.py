@@ -29,10 +29,13 @@ with applicable atoms always win over cross products for the same
 subset, so queries that never need the fallback get byte-identical
 plans.
 
-:func:`dp_order_subset` exposes the same table-fill over an arbitrary
-node subset of a shared workspace/hypergraph pair -- the partitioned
-enumeration tier (:mod:`repro.optimizer.tiers`) solves each partition
-exactly with it and stitches the results.
+:func:`_fill_table` is the one table fill, and every inner-join
+ordering runs through it: :func:`dp_join_order` (the FULL rung and
+the greedy rung), :func:`pareto_frontier` (the order pass, which adds
+interesting orders, Sort enforcers and dominance pruning to each
+entry) and the partitioned enumeration tier
+(:mod:`repro.optimizer.tiers`), which solves each partition exactly
+over a shared workspace/hypergraph pair and stitches the results.
 """
 
 from __future__ import annotations
@@ -144,8 +147,16 @@ class _Workspace:
                 rows *= self.atom_selectivity[atom]
         return rows
 
-    def subset_of(self, expr: Expr) -> frozenset[str]:
-        return expr.base_names
+    def atoms_joining(self, attrs, left_attrs, right_attrs) -> list[Predicate]:
+        """The atoms a join of two disjoint sides evaluates: those
+        inside ``attrs`` (both sides together) touching each side."""
+        return [
+            atom
+            for atom in self.atoms
+            if atom.attrs <= attrs
+            and atom.attrs & left_attrs
+            and atom.attrs & right_attrs
+        ]
 
 
 def dp_join_order(query: Expr, stats: Statistics, budget=None) -> Expr:
@@ -159,129 +170,24 @@ def dp_join_order(query: Expr, stats: Statistics, budget=None) -> Expr:
     enumerated subset and charges one plan per table entry, so
     ``max_plans`` bounds the DP as it bounds the closure.
     """
-    ws = _Workspace(query, stats)
-    if len(ws.leaves) < 2:
-        return query
-
-    graph = hypergraph_of(query)
-    names = frozenset(ws.leaves)
-
-    with span("optimize.dp") as sp:
-        entry, masks_expanded = dp_order_subset(ws, graph, names, budget)
-        if sp is not None:
-            sp.add_counter("masks_expanded", masks_expanded)
-
-    if entry is None:
-        raise DpError("query hypergraph is disconnected")
-    return entry[1]
+    _, entries = _solve(query, stats, budget)
+    return query if entries is None else entries[()][1]
 
 
-def dp_order_subset(
-    ws: _Workspace,
-    graph,
-    names: frozenset[str],
-    budget=None,
-) -> tuple[tuple[float, Expr] | None, int]:
-    """Exact DP over ``names`` (a node subset of ``graph``).
-
-    Fills the classical bottom-up table restricted to ``names`` and
-    returns ``((cost, plan), masks_expanded)`` for the full subset, or
-    ``(None, masks_expanded)`` when it is unreachable (the induced
-    sub-hypergraph is disconnected).  ``ws`` and ``graph`` may cover a
-    superset of ``names`` -- the partitioned tier shares one workspace
-    across every partition it solves.  Each filled table entry is
-    charged to ``budget`` as one plan.
-    """
-    ordered = sorted(names)
-    best: dict[frozenset[str], tuple[float, Expr]] = {
-        frozenset((name,)): (0.0, ws.leaves[name]) for name in ordered
-    }
-
-    bit = graph.node_bit
-    masks_expanded = 0
-    for size in range(2, len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            if budget is not None:
-                budget.check_deadline("dp_join_order")
-            mask = 0
-            for name in combo:
-                mask |= bit[name]
-            if not graph.is_connected_mask(mask):
-                continue
-            masks_expanded += 1
-            subset = frozenset(combo)
-            subset_attrs = ws.attrs_of(subset)
-            output = ws.cardinality(subset)
-            candidate: tuple[float, Expr] | None = None
-            for left, right in _splits(subset):
-                if left not in best or right not in best:
-                    continue
-                left_attrs = ws.attrs_of(left)
-                right_attrs = ws.attrs_of(right)
-                applicable = [
-                    atom
-                    for atom in ws.atoms
-                    if atom.attrs <= subset_attrs
-                    and atom.attrs & left_attrs
-                    and atom.attrs & right_attrs
-                ]
-                if not applicable:
-                    continue
-                cost = best[left][0] + best[right][0] + output
-                if candidate is None or cost < candidate[0]:
-                    plan = Join(
-                        JoinKind.INNER,
-                        best[left][1],
-                        best[right][1],
-                        make_conjunction(applicable),
-                    )
-                    candidate = (cost, plan)
-            if candidate is None:
-                # the subset is connected (a hyperedge spans it) yet no
-                # split carries an evaluable atom -- e.g. a predicate
-                # over three relations with only two of them present.
-                # Without a fallback the subset never enters the table
-                # and a *connected* query dies with a spurious
-                # "disconnected" error; allow the cheapest cross-product
-                # split instead, and let the atoms attach at the first
-                # join where all their relations are available.
-                for left, right in _splits(subset):
-                    if left not in best or right not in best:
-                        continue
-                    cost = best[left][0] + best[right][0] + output
-                    if candidate is None or cost < candidate[0]:
-                        plan = Join(
-                            JoinKind.INNER,
-                            best[left][1],
-                            best[right][1],
-                            make_conjunction(()),
-                        )
-                        candidate = (cost, plan)
-            if candidate is not None:
-                if budget is not None:
-                    budget.charge_plans(1, "dp_join_order")
-                best[subset] = candidate
-
-    return best.get(frozenset(ordered)), masks_expanded
-
-
-# ---- Pareto DP over (subset, interesting order) ----------------------
+# ---- the table: cheapest plan per (subset, interesting order) --------
 #
-# The order-aware extension keeps, per connected subset, not one best
-# plan but the Pareto frontier over *physical order*: the cheapest
-# plan per order the subset can usefully provide.  Inner hash joins
-# pass their left child's order through (the engines emit inner-join
-# rows left-major); Sort enforcers add entries for each interesting
-# order at every subset, costed with Guravannavar's partial-sort
-# discount, so order is bought at the cheapest point in the tree
-# rather than always at the root.  The no-order entries replicate the
-# blind DP move for move, which is what makes the "never worse than
-# blind optimum + root sort" guarantee structural rather than
-# empirical.
-
-#: Pareto table entry: order spec -> (cost, plan providing that order).
-ParetoEntries = "dict[OrderSpec, tuple[float, Expr]]"
-
+# Each table entry maps an order spec to the cheapest (cost, plan)
+# providing it; the blind DP is the table with no interesting orders,
+# where every entry is the single ``()`` key.  With interesting orders
+# the table keeps, per connected subset, the Pareto frontier over
+# *physical order*: inner hash joins pass their left child's order
+# through (the engines emit inner-join rows left-major), and Sort
+# enforcers add entries for each interesting order at every subset,
+# costed with Guravannavar's partial-sort discount, so order is bought
+# at the cheapest point in the tree rather than always at the root.
+# The ``()`` entries make the same moves either way, which is what
+# makes the "never worse than blind optimum + root sort" guarantee
+# structural rather than empirical.
 
 def _real_attrs_of(ws: _Workspace, subset: frozenset[str]) -> set[str]:
     out: set[str] = set()
@@ -355,34 +261,56 @@ def _add_enforcers(
             entries[order] = best
 
 
-def dp_order_subset_pareto(
+def _join_into(entries, left, right, output: float, applicable) -> None:
+    """Offer every pairing of ``left`` and ``right`` entries as one
+    join; keep the cheapest per provided order (the left input's).  A
+    strictly cheaper cost is needed to replace a held entry."""
+    predicate = None
+    for order, (c_left, p_left) in left.items():
+        for c_right, p_right in right.values():
+            cost = c_left + c_right + output
+            held = entries.get(order)
+            if held is not None and held[0] <= cost:
+                continue
+            if predicate is None:
+                predicate = make_conjunction(applicable)
+            entries[order] = (cost, Join(JoinKind.INNER, p_left, p_right, predicate))
+
+
+def _fill_table(
     ws: _Workspace,
     graph,
     names: frozenset[str],
-    interesting,
     budget=None,
+    interesting=(),
     eq=None,
+    charge: bool = True,
 ):
-    """Pareto DP over ``names``: cheapest plan per (subset, order).
+    """The DP table fill over ``names`` (a node subset of ``graph``).
 
-    ``interesting`` is a collection of order specs worth tracking
-    (seeded from join predicates, GROUP BY keys and the query's ORDER
-    BY); ``eq`` maps attributes to equality-derived equivalence
-    classes for Szlichta-style free orders.  Returns ``(entries,
-    masks_expanded)`` where ``entries`` maps order spec -> (cost,
-    plan) for the full subset (``None`` when disconnected).  The
-    empty-order entries replicate :func:`dp_order_subset` exactly.
+    Fills the bottom-up table over the connected subsets of ``names``
+    and returns ``(entries, masks_expanded)``: ``entries`` maps order
+    spec -> (cost, plan) for the full subset, or is ``None`` when the
+    induced sub-hypergraph is disconnected.  ``ws`` and ``graph`` may
+    cover a superset of ``names`` -- the partitioned tier shares one
+    workspace across every partition it solves.
+
+    ``interesting`` (normalized, non-empty order specs) and ``eq``
+    (attribute -> equality class, for Szlichta-style free orders) turn
+    on the enforcer and dominance-prune steps; with no interesting
+    orders every entry is the single order-blind ``()`` key.  With
+    ``charge`` each filled subset is charged to ``budget`` as one
+    plan; without it (the order pass) the budget only bounds time.
     """
-    interesting = tuple(
-        dict.fromkeys(normalize_order(o) for o in interesting if o)
-    )
+    where = "dp_join_order" if charge else "dp_order_pareto"
     ordered = sorted(names)
     table: dict[frozenset[str], dict] = {}
     for name in ordered:
         leaf = frozenset((name,))
         entries = {(): (0.0, ws.leaves[name])}
-        _add_enforcers(ws, leaf, entries, interesting, eq)
-        _prune_dominated(entries, eq)
+        if interesting:
+            _add_enforcers(ws, leaf, entries, interesting, eq)
+            _prune_dominated(entries, eq)
         table[leaf] = entries
 
     bit = graph.node_bit
@@ -390,7 +318,7 @@ def dp_order_subset_pareto(
     for size in range(2, len(ordered) + 1):
         for combo in combinations(ordered, size):
             if budget is not None:
-                budget.check_deadline("dp_order_pareto")
+                budget.check_deadline(where)
             mask = 0
             for name in combo:
                 mask |= bit[name]
@@ -400,50 +328,62 @@ def dp_order_subset_pareto(
             subset = frozenset(combo)
             subset_attrs = ws.attrs_of(subset)
             output = ws.cardinality(subset)
-            entries: dict = {}
-
-            def consider(left, right, applicable) -> None:
-                predicate = make_conjunction(applicable)
-                for o_left, (c_left, p_left) in table[left].items():
-                    for o_right, (c_right, p_right) in table[right].items():
-                        cost = c_left + c_right + output
-                        held = entries.get(o_left)
-                        if held is not None and held[0] <= cost:
-                            continue
-                        plan = Join(
-                            JoinKind.INNER, p_left, p_right, predicate
-                        )
-                        entries[o_left] = (cost, plan)
-
-            atom_split_found = False
+            entries = {}
             for left, right in _splits(subset):
                 if left not in table or right not in table:
                     continue
-                left_attrs = ws.attrs_of(left)
-                right_attrs = ws.attrs_of(right)
-                applicable = [
-                    atom
-                    for atom in ws.atoms
-                    if atom.attrs <= subset_attrs
-                    and atom.attrs & left_attrs
-                    and atom.attrs & right_attrs
-                ]
-                if not applicable:
-                    continue
-                atom_split_found = True
-                consider(left, right, applicable)
-            if not atom_split_found:
-                # same cross-product last resort as dp_order_subset
+                applicable = ws.atoms_joining(
+                    subset_attrs, ws.attrs_of(left), ws.attrs_of(right)
+                )
+                if applicable:
+                    _join_into(entries, table[left], table[right], output, applicable)
+            if not entries:
+                # the subset is connected (a hyperedge spans it) yet no
+                # split carries an evaluable atom -- e.g. a predicate
+                # over three relations with only two of them present.
+                # Without a fallback the subset never enters the table
+                # and a *connected* query dies with a spurious
+                # "disconnected" error; allow the cheapest cross-product
+                # split instead, and let the atoms attach at the first
+                # join where all their relations are available.
                 for left, right in _splits(subset):
-                    if left not in table or right not in table:
-                        continue
-                    consider(left, right, ())
+                    if left in table and right in table:
+                        _join_into(entries, table[left], table[right], output, ())
             if entries:
-                _add_enforcers(ws, subset, entries, interesting, eq)
-                _prune_dominated(entries, eq)
+                if charge and budget is not None:
+                    budget.charge_plans(1, where)
+                if interesting:
+                    _add_enforcers(ws, subset, entries, interesting, eq)
+                    _prune_dominated(entries, eq)
                 table[subset] = entries
 
     return table.get(frozenset(ordered)), masks_expanded
+
+
+def _solve(
+    query: Expr, stats: Statistics, budget, interesting=(), eq=None, pareto=False
+):
+    """Shared shell of :func:`dp_join_order` and :func:`pareto_frontier`.
+
+    Builds the workspace and hypergraph, fills the table under the
+    ``optimize.dp`` span and returns ``(ws, root entries)``; the
+    entries are ``None`` when the core has fewer than two relations.
+    The order pass (``pareto``) tags the span and charges no plans.
+    """
+    ws = _Workspace(query, stats)
+    if len(ws.leaves) < 2:
+        return ws, None
+    graph = hypergraph_of(query)
+    tags = {"mode": "pareto"} if pareto else {}
+    with span("optimize.dp", **tags) as sp:
+        entries, masks_expanded = _fill_table(
+            ws, graph, frozenset(ws.leaves), budget, interesting, eq, charge=not pareto
+        )
+        if sp is not None:
+            sp.add_counter("masks_expanded", masks_expanded)
+    if entries is None:
+        raise DpError("query hypergraph is disconnected")
+    return ws, entries
 
 
 def pareto_frontier(
@@ -463,21 +403,10 @@ def pareto_frontier(
     interesting = tuple(
         dict.fromkeys(normalize_order(o) for o in interesting if o)
     )
-    ws = _Workspace(query, stats)
-    names = frozenset(ws.leaves)
-    if len(ws.leaves) < 2:
-        entries = {(): (0.0, query)}
-        _add_enforcers(ws, names, entries, interesting, eq)
-        return entries
-    graph = hypergraph_of(query)
-    with span("optimize.dp", mode="pareto") as sp:
-        entries, masks_expanded = dp_order_subset_pareto(
-            ws, graph, names, interesting, budget, eq
-        )
-        if sp is not None:
-            sp.add_counter("masks_expanded", masks_expanded)
+    ws, entries = _solve(query, stats, budget, interesting, eq, pareto=True)
     if entries is None:
-        raise DpError("query hypergraph is disconnected")
+        entries = {(): (0.0, query)}
+        _add_enforcers(ws, frozenset(ws.leaves), entries, interesting, eq)
     return entries
 
 
@@ -513,10 +442,7 @@ def dp_join_order_pareto(
                 f"{[a for a, _ in required]}"
             )
         return best[1], best[0][0]
-    cost, plan = min(
-        ((c, p) for c, p in entries.values()),
-        key=lambda t: t[0],
-    )
+    cost, plan = min(entries.values(), key=lambda entry: entry[0])
     return plan, cost
 
 

@@ -14,9 +14,9 @@ cliff.  Two intermediate tiers smooth it out:
 
 * **Partitioned DP**: grow connected partitions of at most
   ``partition_size`` relations along hypergraph edges, solve each
-  partition *exactly* with the existing DP table
-  (:func:`repro.optimizer.dp.dp_order_subset` over a shared
-  workspace), then stitch partition plans with a bounded best-first
+  partition *exactly* with the DP's one table fill
+  (:func:`repro.optimizer.dp._fill_table` over a shared workspace),
+  then stitch partition plans with a bounded best-first
   search over inter-partition merges (the Schoenberger & Trummer
   partition-solve-stitch shape, with greedy-rollout best-first search
   standing in for the MILP solver to stay pure python).  A final
@@ -54,7 +54,7 @@ from repro.expr.nodes import Expr, Join, JoinKind
 from repro.expr.predicates import make_conjunction
 from repro.hypergraph import hypergraph_of
 from repro.optimizer.cost import estimated_cost
-from repro.optimizer.dp import DpError, _Workspace, dp_order_subset
+from repro.optimizer.dp import DpError, _Workspace, _fill_table
 from repro.optimizer.planner import (
     OptimizationResult,
     peel_wrappers,
@@ -96,34 +96,30 @@ class _Cluster:
     expr: Expr
 
 
-def _leaf_cluster(ws: _Workspace, name: str) -> _Cluster:
-    subset = frozenset((name,))
+def _cluster(
+    ws: _Workspace, subset: frozenset[str], cost: float, expr: Expr
+) -> _Cluster:
     return _Cluster(
         subset=subset,
         attrs=frozenset(ws.attrs_of(subset)),
         card=ws.cardinality(subset),
-        cost=0.0,
-        expr=ws.leaves[name],
+        cost=cost,
+        expr=expr,
     )
 
 
-def _merge_clusters(ws: _Workspace, a: _Cluster, b: _Cluster) -> tuple[_Cluster, bool]:
-    """Join two clusters; returns the merged cluster and connectivity.
+def _merge_clusters(ws: _Workspace, a: _Cluster, b: _Cluster) -> tuple[_Cluster, tuple]:
+    """Join two clusters; returns the merged cluster and its preference
+    key (connected merges first, then smaller cardinality, then name).
 
-    The newly-applicable atoms are those covered by the union but by
-    neither side alone -- exactly the atoms the DP would attach at
-    this join.  The incremental cardinality ``card_a * card_b * prod
-    sel(new atoms)`` equals ``ws.cardinality(union)`` because cluster
-    attribute sets are disjoint.
+    The newly-applicable atoms are exactly the ones the DP attaches
+    at this join (:meth:`_Workspace.atoms_joining`).  The incremental
+    cardinality ``card_a * card_b * prod sel(new atoms)`` equals
+    ``ws.cardinality(union)`` because cluster attribute sets are
+    disjoint.
     """
     attrs = a.attrs | b.attrs
-    new_atoms = [
-        atom
-        for atom in ws.atoms
-        if atom.attrs <= attrs
-        and not atom.attrs <= a.attrs
-        and not atom.attrs <= b.attrs
-    ]
+    new_atoms = ws.atoms_joining(attrs, a.attrs, b.attrs)
     card = a.card * b.card
     for atom in new_atoms:
         card *= ws.atom_selectivity[atom]
@@ -134,7 +130,7 @@ def _merge_clusters(ws: _Workspace, a: _Cluster, b: _Cluster) -> tuple[_Cluster,
         cost=a.cost + b.cost + card,
         expr=Join(JoinKind.INNER, a.expr, b.expr, make_conjunction(new_atoms)),
     )
-    return merged, bool(new_atoms)
+    return merged, (0 if new_atoms else 1, card, min(merged.subset))
 
 
 def _cluster_sort_key(cluster: _Cluster) -> str:
@@ -170,18 +166,15 @@ def _goo(
 ) -> tuple[float, Expr, int]:
     alive: dict[int, _Cluster] = {}
     for i, name in enumerate(sorted(ws.leaves)):
-        alive[i] = _leaf_cluster(ws, name)
+        alive[i] = _cluster(ws, frozenset((name,)), 0.0, ws.leaves[name])
     next_id = len(alive)
 
     seq = itertools.count()
     heap: list[tuple[int, float, str, int, int, int]] = []
 
     def push_pair(i: int, j: int) -> None:
-        merged, connected = _merge_clusters(ws, alive[i], alive[j])
-        heapq.heappush(
-            heap,
-            (0 if connected else 1, merged.card, min(merged.subset), next(seq), i, j),
-        )
+        _, key = _merge_clusters(ws, alive[i], alive[j])
+        heapq.heappush(heap, key + (next(seq), i, j))
 
     ids = sorted(alive)
     for x in range(len(ids)):
@@ -210,6 +203,16 @@ def _goo(
     return final.cost, final.expr, merges
 
 
+def _adjacency(graph) -> dict[str, set[str]]:
+    """Each node's neighbours: the nodes sharing a hyperedge with it."""
+    adjacency: dict[str, set[str]] = {name: set() for name in graph.nodes}
+    for edge in graph.edges:
+        for a in edge.nodes:
+            adjacency[a].update(edge.nodes)
+            adjacency[a].discard(a)
+    return adjacency
+
+
 def _partition_nodes(graph, max_size: int) -> list[frozenset[str]]:
     """Deterministic connected partitions of at most ``max_size`` nodes.
 
@@ -219,14 +222,7 @@ def _partition_nodes(graph, max_size: int) -> list[frozenset[str]]:
     the induced sub-hypergraph, so the per-partition DP always reaches
     its full subset.
     """
-    adjacency: dict[str, set[str]] = {name: set() for name in graph.nodes}
-    for edge in graph.edges:
-        members = sorted(edge.nodes)
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
-
+    adjacency = _adjacency(graph)
     unassigned = set(graph.nodes)
     parts: list[frozenset[str]] = []
     while unassigned:
@@ -257,8 +253,8 @@ def partitioned_dp_join_order(
 
     The hypergraph is split into connected partitions of at most
     ``thresholds.partition_size`` relations; each partition is solved
-    *exactly* with the shared-workspace DP
-    (:func:`repro.optimizer.dp.dp_order_subset`), and the partition
+    *exactly* with the shared-workspace DP table fill
+    (:func:`repro.optimizer.dp._fill_table`), and the partition
     plans are stitched by a bounded best-first search over pairwise
     merges (``stitch_beam`` successors per expansion, at most
     ``stitch_expansions`` expansions, with a greedy rollout scoring
@@ -276,23 +272,11 @@ def partitioned_dp_join_order(
         clusters: list[_Cluster] = []
         masks_total = 0
         for part in parts:
-            if len(part) == 1:
-                clusters.append(_leaf_cluster(ws, next(iter(part))))
-                continue
-            entry, masks = dp_order_subset(ws, graph, part, budget)
+            entries, masks = _fill_table(ws, graph, part, budget)
             masks_total += masks
-            if entry is None:  # pragma: no cover - partitions grow along edges
+            if entries is None:  # pragma: no cover - partitions grow along edges
                 raise DpError(f"partition {sorted(part)} is disconnected")
-            cost, plan = entry
-            clusters.append(
-                _Cluster(
-                    subset=part,
-                    attrs=frozenset(ws.attrs_of(part)),
-                    card=ws.cardinality(part),
-                    cost=cost,
-                    expr=plan,
-                )
-            )
+            clusters.append(_cluster(ws, part, *entries[()]))
         cost, plan, expansions = _stitch(
             ws, clusters, budget, th.stitch_beam, th.stitch_expansions
         )
@@ -338,13 +322,7 @@ def _bfs_order(graph) -> list[str]:
     linearization, which is what the interval DP needs to find good
     structure; on a pure chain this is the chain order itself.
     """
-    adjacency: dict[str, set[str]] = {name: set() for name in graph.nodes}
-    for edge in graph.edges:
-        members = sorted(edge.nodes)
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
+    adjacency = _adjacency(graph)
     order: list[str] = []
     visited: set[str] = set()
     pending = sorted(graph.nodes)
@@ -426,13 +404,7 @@ def _interval_dp(
         k = split[i][j]
         left = build(i, k)
         right = build(k + 1, j)
-        applicable = [
-            atom
-            for atom in ws.atoms
-            if atom.attrs <= attrs[i][j]
-            and atom.attrs & attrs[i][k]
-            and atom.attrs & attrs[k + 1][j]
-        ]
+        applicable = ws.atoms_joining(attrs[i][j], attrs[i][k], attrs[k + 1][j])
         return Join(JoinKind.INNER, left, right, make_conjunction(applicable))
 
     return cost[0][n - 1], build(0, n - 1)
@@ -447,8 +419,7 @@ def _greedy_rollout(
         best = None
         for x in range(len(clusters)):
             for y in range(x + 1, len(clusters)):
-                merged, connected = _merge_clusters(ws, clusters[x], clusters[y])
-                key = (0 if connected else 1, merged.card, min(merged.subset))
+                merged, key = _merge_clusters(ws, clusters[x], clusters[y])
                 if best is None or key < best[0]:
                     best = (key, x, y, merged)
         _, x, y, merged = best
@@ -497,10 +468,8 @@ def _stitch(
         candidates = []
         for x in range(len(state)):
             for y in range(x + 1, len(state)):
-                merged, connected = _merge_clusters(ws, state[x], state[y])
-                candidates.append(
-                    ((0 if connected else 1, merged.card, min(merged.subset)), x, y, merged)
-                )
+                merged, key = _merge_clusters(ws, state[x], state[y])
+                candidates.append((key, x, y, merged))
         candidates.sort(key=lambda t: t[0])
         for _, x, y, merged in candidates[:beam]:
             rest = [c for k, c in enumerate(state) if k not in (x, y)]

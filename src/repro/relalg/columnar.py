@@ -123,16 +123,6 @@ class ColumnarRelation:
         _TRANSPOSE_CACHE[relation] = out
         return out
 
-    @staticmethod
-    def from_columns(
-        real: Schema | Iterable[str],
-        virtual: Schema | Iterable[str],
-        columns: Mapping[str, list],
-    ) -> "ColumnarRelation":
-        """Build from ready-made columns (length inferred)."""
-        nrows = len(next(iter(columns.values()))) if columns else 0
-        return ColumnarRelation(real, virtual, columns, nrows)
-
     # ---- accessors ----
 
     @property

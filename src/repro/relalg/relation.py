@@ -153,15 +153,6 @@ class Relation:
     def with_rows(self, rows: Iterable[Row]) -> "Relation":
         return Relation(self._real, self._virtual, rows)
 
-    def real_tuples(self) -> Counter:
-        """Multiset of real-attribute value tuples (virtuals dropped).
-
-        This is the observable content of the relation: two plans are
-        equivalent iff their results agree on this multiset.
-        """
-        order = self._real.attrs
-        return Counter(row.values_tuple(order) for row in self.rows)
-
     def same_content(self, other: "Relation") -> bool:
         """True when both relations hold the same bag of real rows.
 

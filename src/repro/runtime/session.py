@@ -60,7 +60,7 @@ from repro.optimizer import (
     partitioned_reorder,
 )
 from repro.optimizer.cost import CostModel
-from repro.optimizer.tiers import TIER_NAMES
+from repro.optimizer.tiers import TIER_NAMES, choose_tier
 from repro.relalg import Relation
 from repro.runtime.budget import DEFAULT_TIERS, Budget, TierThresholds
 from repro.runtime.faults import fault_point
@@ -91,6 +91,17 @@ _STAGE_FRACTIONS = {
     DegradationLevel.PARTITIONED_DP: 0.5,
     DegradationLevel.GOO: 0.5,
     DegradationLevel.GREEDY: 0.6,
+}
+
+#: The rung ladder each enumeration tier starts (``choose_tier`` names).
+_TIER_RUNGS = {
+    "dp": (DegradationLevel.FULL, DegradationLevel.GREEDY),
+    "partitioned": (
+        DegradationLevel.PARTITIONED_DP,
+        DegradationLevel.GOO,
+        DegradationLevel.GREEDY,
+    ),
+    "goo": (DegradationLevel.GOO, DegradationLevel.GREEDY),
 }
 
 _EXECUTORS = {
@@ -296,31 +307,17 @@ class QuerySession:
     def _rungs(self, query: Expr, thresholds: TierThresholds) -> tuple:
         """The optimizing rungs to attempt, best-first (policy, not crash).
 
-        The as-written rung is implicit below whatever is returned.
+        ``auto`` takes :func:`repro.optimizer.tiers.choose_tier`'s
+        ladder; a forced tier pins its first rung, with only the greedy
+        rung below.  The as-written rung is implicit below whatever is
+        returned.
         """
-        if self.enum_tier == "dp":
-            return (DegradationLevel.FULL, DegradationLevel.GREEDY)
-        if self.enum_tier == "partitioned":
-            return (DegradationLevel.PARTITIONED_DP, DegradationLevel.GREEDY)
-        if self.enum_tier == "goo":
-            return (DegradationLevel.GOO, DegradationLevel.GREEDY)
-        n = len(query.base_names)
-        if n <= thresholds.full_max_relations:
-            return (DegradationLevel.FULL, DegradationLevel.GREEDY)
-        if n <= thresholds.partitioned_max_relations:
-            return (
-                DegradationLevel.PARTITIONED_DP,
-                DegradationLevel.GOO,
-                DegradationLevel.GREEDY,
-            )
-        return (DegradationLevel.GOO, DegradationLevel.GREEDY)
+        if self.enum_tier == "auto":
+            return _TIER_RUNGS[choose_tier(len(query.base_names), thresholds)]
+        return (_TIER_RUNGS[self.enum_tier][0], DegradationLevel.GREEDY)
 
     def _plan_rung(
-        self,
-        query: Expr,
-        level: DegradationLevel,
-        stage_budget: Budget,
-        thresholds: TierThresholds,
+        self, query: Expr, level: DegradationLevel, stage_budget: Budget
     ) -> OptimizationResult:
         """Invoke one rung's planner."""
         if level is DegradationLevel.FULL:
@@ -329,7 +326,10 @@ class QuerySession:
             )
         if level is DegradationLevel.PARTITIONED_DP:
             return partitioned_reorder(
-                query, self.stats, budget=stage_budget, thresholds=thresholds
+                query,
+                self.stats,
+                budget=stage_budget,
+                thresholds=self._thresholds(stage_budget),
             )
         if level is DegradationLevel.GOO:
             return goo_reorder(query, self.stats, budget=stage_budget)
@@ -487,6 +487,41 @@ class QuerySession:
         )
         return result
 
+    def _stage_budget(self, run_budget: Budget, level: DegradationLevel) -> Budget:
+        """The rung's slice of the per-query budget.
+
+        Carving from an expired budget raises ``DeadlineExceeded``
+        eagerly, which is just another way for the rung to be abandoned.
+        """
+        return run_budget.stage(
+            _STAGE_FRACTIONS[level],
+            # the fallback rungs run *because* the plan cap blew; their
+            # own effort is bounded structurally (tiers / GREEDY_PLAN_CAP)
+            max_plans="inherit" if level is DegradationLevel.FULL else None,
+            where=f"{level.name.lower()}-stage",
+        )
+
+    def _plan_stage(
+        self,
+        query: Expr,
+        level: DegradationLevel,
+        stage_budget: Budget,
+        primary: bool,
+        required_order: tuple[tuple[str, bool], ...],
+    ) -> tuple[OptimizationResult, bool]:
+        """One rung's planning: ``(optimized, cache_hit)``.
+
+        Only the primary rung reads the plan cache; a miss runs the
+        rung's planner and the order pass.  Storing is the caller's
+        policy.
+        """
+        if primary:
+            cached = self.plan_cache.lookup(query, self._plan_version(required_order))
+            if cached is not None:
+                return cached, True
+        optimized = self._plan_rung(query, level, stage_budget)
+        return self._order_pass(optimized, required_order, stage_budget), False
+
     def _attempt_optimized(
         self,
         query: Expr,
@@ -502,30 +537,11 @@ class QuerySession:
         plan reached after a failure would shadow the better plan on
         reuse).
         """
-        stage_budget = run_budget.stage(
-            _STAGE_FRACTIONS[level],
-            # the fallback rungs run *because* the plan cap blew; their
-            # own effort is bounded structurally (tiers / GREEDY_PLAN_CAP)
-            max_plans="inherit" if level is DegradationLevel.FULL else None,
-            where=f"{level.name.lower()}-stage",
-        )
-        cache_hit = False
+        stage_budget = self._stage_budget(run_budget, level)
         with span(f"plan.{level.name.lower()}"):
-            optimized = None
-            if primary:
-                cached = self.plan_cache.lookup(
-                    query, self._plan_version(required_order)
-                )
-                if cached is not None:
-                    optimized = cached
-                    cache_hit = True
-            if optimized is None:
-                optimized = self._plan_rung(
-                    query, level, stage_budget, self._thresholds(run_budget)
-                )
-                optimized = self._order_pass(
-                    optimized, required_order, stage_budget
-                )
+            optimized, cache_hit = self._plan_stage(
+                query, level, stage_budget, primary, required_order
+            )
             plan = self._pick_plan(optimized)
         if self.feedback is not None:
             relation, plan, optimized, replans, replan_events = (
@@ -954,31 +970,16 @@ class QuerySession:
             rung that produced it, and the abandoned rungs' reasons.
         """
         run_budget = budget if budget is not None else self._fresh_budget()
-        thresholds = self._thresholds(run_budget)
         reasons: list[str] = []
-        rungs = self._rungs(query, thresholds)
+        rungs = self._rungs(query, self._thresholds(run_budget))
         for level in rungs:
             primary = level is rungs[0]
             try:
-                # inside the try: carving from an expired budget raises
-                # DeadlineExceeded eagerly, which is just another way
-                # for the stage to be abandoned
-                stage_budget = run_budget.stage(
-                    _STAGE_FRACTIONS[level],
-                    max_plans="inherit" if level is DegradationLevel.FULL else None,
-                    where=f"{level.name.lower()}-stage",
+                stage_budget = self._stage_budget(run_budget, level)
+                optimized, cache_hit = self._plan_stage(
+                    query, level, stage_budget, primary, required_order
                 )
-                if primary:
-                    cached = self.plan_cache.lookup(
-                        query, self._plan_version(required_order)
-                    )
-                    if cached is not None:
-                        return cached, level, "; ".join(reasons) or None
-                optimized = self._plan_rung(query, level, stage_budget, thresholds)
-                optimized = self._order_pass(
-                    optimized, required_order, stage_budget
-                )
-                if primary:
+                if primary and not cache_hit:
                     self.plan_cache.store(
                         query, self._plan_version(required_order), optimized
                     )

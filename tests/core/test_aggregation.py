@@ -59,6 +59,14 @@ def gp_of(rel, name="g"):
     )
 
 
+def _witnesses(expr):
+    """COUNT-bug witness names anywhere in ``expr`` (``AdjustPadding``
+    consumes its witness, so the root does not expose it)."""
+    return {
+        a for node in expr.walk() for a in node.all_attrs if a.startswith("__witness")
+    }
+
+
 class TestSpine:
     def test_base_and_joins(self):
         assert spine_virtuals(R1) == {"#r1"}
@@ -249,6 +257,17 @@ class TestFullPipelinePullUp:
                 assert not isinstance(node.left, GroupBy)
                 assert not isinstance(node.right, GroupBy)
         assert_equiv(q, out, ("r1", "r2", "r3"), trials=100)
+
+    def test_pull_up_names_witnesses_from_the_tree(self):
+        """One query normalizes to one tree, however often it runs."""
+        q = inner(
+            left_outer(R1, gp_of(R2), eq("r1_a0", "r2_a0")),
+            R3,
+            eq("r1_a1", "r3_a0"),
+        )
+        first = pull_up_aggregations(q)
+        assert pull_up_aggregations(q) == first
+        assert _witnesses(first) == {"__witness0"}
 
     def test_example_11_supplier_query(self):
         """Example 1.1: the analyst query pulls its aggregation up."""

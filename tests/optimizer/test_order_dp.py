@@ -75,12 +75,14 @@ class TestCriterionThree:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_blind_entry_matches_blind_dp(self, seed):
         """The ()-order frontier entry replicates the order-blind DP
-        move for move, so its cost is exactly the blind optimum."""
-        query = chain_query(4)
-        stats = chain_stats(4, seed)
-        frontier = pareto_frontier(query, stats)
-        blind = dp_join_order(query, stats)
-        assert frontier[()][0] == pytest.approx(dp_cost(blind, stats))
+        move for move: the same plan at exactly the blind optimum."""
+        cases = [(chain_query(n), chain_stats(n, seed)) for n in range(3, 9)]
+        cases += [(star_query(n), star_stats(n, seed)) for n in range(3, 7)]
+        for query, stats in cases:
+            cost, plan = pareto_frontier(query, stats)[()]
+            blind = dp_join_order(query, stats)
+            assert plan == blind
+            assert cost == pytest.approx(dp_cost(blind, stats))
 
     def test_unsatisfiable_required_order_raises(self):
         query = chain_query(3)

@@ -16,6 +16,11 @@ for ``T`` = 0 and 1, and fails when a run
   the record the run wrote (``benchmarks/e2e/out/record_W*.json``)
   carries a ``note`` saying why for that metric.
 
+It also resolves every span-wrapper target in
+``benchmarks/e2e/layers.py``'s ``PATCHES`` and fails on one that no
+longer resolves (a function renamed or moved): the traced run skips
+such a target without a word and just loses that span.
+
 A metric that silently turns null (a probe whose target moved, a unit
 cost divided by zero plans) makes the whole result line unusable for
 before/after comparison; this check catches it before a timed
@@ -94,6 +99,23 @@ def check_run(workload: str, trace: int) -> list[str]:
     return problems
 
 
+class _Unwrapped:
+    """A recorder whose wrappers are the functions themselves."""
+
+    def wrap(self, fn, name, **options):
+        return fn
+
+
+def check_patches() -> list[str]:
+    """Targets of the traced run's span wrappers that do not resolve."""
+    sys.path[:0] = [str(RUN.parent), str(REPO / "src")]
+    from layers import PATCHES
+    from spans import Patches
+
+    with Patches(_Unwrapped(), PATCHES) as patches:
+        return [f"{target}: {why}" for target, why in patches.missing.items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -109,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     traces = args.trace or [0, 1]
 
-    problems = []
+    problems = [f"PATCHES target {p}" for p in check_patches()]
+    print(f"PATCHES: {'ok' if not problems else f'{len(problems)} problem(s)'}")
     for workload in workloads:
         for trace in traces:
             found = check_run(workload, trace)
